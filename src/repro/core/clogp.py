@@ -26,13 +26,13 @@ from ..config import SystemConfig
 from ..errors import ProtocolError
 from ..faults.reliable import RetryPolicy
 from .coherence import CoherentMemory
-from .logp_net import LogPNetwork
+from .logp_net import LogPMessagePassing, LogPNetwork
 from .machine import Machine, register_machine
 from .params import derive_logp
 
 
 @register_machine
-class CLogPMachine(Machine):
+class CLogPMachine(LogPMessagePassing, Machine):
     """LogP network + ideal (overhead-free) coherent caches."""
 
     name = "clogp"
@@ -59,6 +59,7 @@ class CLogPMachine(Machine):
         # Hot-path constants (attribute chains cost on every access).
         self._block_bytes = config.block_bytes
         self._hit_ns = config.cache_hit_ns
+        self._memory_ns = config.memory_ns
         self._fill_ns = config.cache_hit_ns + config.memory_ns
         self._caches = self.memory.caches
 
@@ -90,57 +91,27 @@ class CLogPMachine(Machine):
         return self._fill_ns
 
     def transact(self, pid: int, addr: int, is_write: bool):
-        config = self.config
-        block = addr // config.block_bytes
-        memory = self.memory
+        block = addr // self._block_bytes
         if is_write:
-            plan = memory.plan_write(pid, block)
+            plan = self.memory.plan_write(pid, block)
             if plan.fast:
                 raise ProtocolError("CLogP write transact on a writable line")
-            source = plan.source
-            from_memory = plan.from_memory
         else:
-            plan = memory.plan_read(pid, block)
+            plan = self.memory.plan_read(pid, block)
             if plan.hit:
                 raise ProtocolError("CLogP read transact on a valid line")
-            source = plan.source
-            from_memory = plan.from_memory
+        source = plan.source
         if source is None or source == pid:
             # The source moved local while we flushed pending time.
-            service = config.memory_ns
+            service = self._memory_ns
             yield service
             return 0, service
-        service = config.memory_ns if from_memory else config.cache_hit_ns
-        trip = self.net.round_trip(pid, source, service_ns=service)
-        if trip.retry_ns:
-            self.record_retry(pid, trip.retry_ns)
-        yield trip.total_ns
-        return trip.latency_ns, service
-
-
-    def mp_transmit(self, pid: int, dst: int, nbytes: int):
-        """Explicit message through the LogP network, packetized.
-
-        Each packet is one LogP message: full ``L`` latency plus the
-        per-node ``g`` gating (and ``o``, were it non-zero) -- the
-        model's home turf, since LogP was formulated for message
-        passing.
-        """
-        if pid == dst:
-            return 0, 0
-        latency = 0
-        total = 0
-        remaining = nbytes
-        packet = self.config.data_message_bytes
-        while remaining > 0:
-            trip = self.net.one_way(pid, dst)
-            latency += trip.latency_ns
-            total = max(total, trip.total_ns)
-            if trip.retry_ns:
-                self.record_retry(pid, trip.retry_ns)
-            remaining -= packet
+        service = self._memory_ns if plan.from_memory else self._hit_ns
+        total, _, retry = self.net.round_trip_ns(pid, source, service)
+        if retry:
+            self.record_retry(pid, retry)
         yield total
-        return latency, 0
+        return self.net.round_trip_latency_ns, service
 
     def message_count(self) -> int:
         return self.net.messages

@@ -20,13 +20,13 @@ from typing import Optional, Tuple
 
 from ..config import SystemConfig
 from ..faults.reliable import RetryPolicy
-from .logp_net import LogPNetwork
+from .logp_net import LogPMessagePassing, LogPNetwork
 from .machine import Machine, register_machine
 from .params import derive_logp
 
 
 @register_machine
-class LogPMachine(Machine):
+class LogPMachine(LogPMessagePassing, Machine):
     """Cache-less NUMA machine over the LogP network abstraction."""
 
     name = "logp"
@@ -48,46 +48,30 @@ class LogPMachine(Machine):
             checkers=self.checkers,
         )
         self._poll_messages = 0
+        # Hot-path constants (every reference asks for its home).  The
+        # memo dict is shared, not copied: alloc() clears it in place.
+        self._block_bytes = config.block_bytes
+        self._memory_ns = config.memory_ns
+        self._homes = self.space._home_cache
 
     # -- memory interface ---------------------------------------------------------
 
     def try_fast(self, pid: int, addr: int, is_write: bool) -> Optional[int]:
-        if self.space.home_of(addr) == pid:
-            return self.config.memory_ns
+        home = self._homes.get(addr // self._block_bytes)
+        if home is None:
+            home = self.space.home_of(addr)
+        if home == pid:
+            return self._memory_ns
         return None
 
     def transact(self, pid: int, addr: int, is_write: bool):
         home = self.space.home_of(addr)
-        trip = self.net.round_trip(pid, home, service_ns=self.config.memory_ns)
-        if trip.retry_ns:
-            self.record_retry(pid, trip.retry_ns)
-        yield trip.total_ns
-        return trip.latency_ns, trip.service_ns
-
-
-    def mp_transmit(self, pid: int, dst: int, nbytes: int):
-        """Explicit message through the LogP network, packetized.
-
-        Each packet is one LogP message: full ``L`` latency plus the
-        per-node ``g`` gating (and ``o``, were it non-zero) -- the
-        model's home turf, since LogP was formulated for message
-        passing.
-        """
-        if pid == dst:
-            return 0, 0
-        latency = 0
-        total = 0
-        remaining = nbytes
-        packet = self.config.data_message_bytes
-        while remaining > 0:
-            trip = self.net.one_way(pid, dst)
-            latency += trip.latency_ns
-            total = max(total, trip.total_ns)
-            if trip.retry_ns:
-                self.record_retry(pid, trip.retry_ns)
-            remaining -= packet
+        service = self._memory_ns
+        total, _, retry = self.net.round_trip_ns(pid, home, service)
+        if retry:
+            self.record_retry(pid, retry)
         yield total
-        return latency, 0
+        return self.net.round_trip_latency_ns, service
 
     # -- spin model ---------------------------------------------------------------
 

@@ -16,19 +16,27 @@ out this is one source of contention pessimism.  With
 are gated independently.
 
 Stalls are the model's *contention* estimate; the ``L`` terms are its
-*latency* estimate.  The gate bookkeeping is pure arithmetic -- callers
-get back the total duration and sleep once, which keeps LogP-machine
-simulations event-light even though the *paper's* LogP simulations were
-slow (their cost was the sheer number of references that become network
-events; ours is too, relative to the cached machines).
+*latency* estimate.  The gate bookkeeping is pure integer arithmetic in
+one function, :meth:`LogPNetwork.one_way_ns` (plain, adaptive-``g``,
+sanitizer-hooked and fault-injected messages all take it): the machines
+get back plain ints ``(total, stall, retry)``, build no object and
+sleep once.  :class:`Trip` is the public, named form of the same
+numbers, built only by :meth:`~LogPNetwork.one_way` and
+:meth:`~LogPNetwork.round_trip` for tests, examples and analysis.
+
+That closed form is why the paper's "LogP is dearer to simulate than
+the target" reproduces here in simulated message counts but not in host
+time: their cost was one simulated network event per reference that a
+cache would have absorbed; ours is six additions and two comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..engine.core import Simulator
+from ..errors import RetryLimitError
 from .params import LogPParams
 
 
@@ -88,10 +96,17 @@ class LogPNetwork:
             checkers.arq_checkers if checkers is not None else ()
         )
         #: Optional :class:`~repro.faults.injector.FaultInjector`; when
-        #: set, every message goes through the reliable-delivery
-        #: arithmetic in :meth:`_one_way_faulty` (see there).
+        #: set, every message goes through the reliable-delivery loop
+        #: of :meth:`one_way_ns` (see there).
         self.injector = injector
         self.retry_policy = retry_policy
+        self._L_ns = params.L_ns
+        self._g_ns = params.g_ns
+        self._o2_ns = 2 * params.o_ns
+        #: Contention-free time of one message: ``L + 2o``.
+        self.leg_latency_ns = params.L_ns + 2 * params.o_ns
+        #: ... and of a request/reply pair, service excluded.
+        self.round_trip_latency_ns = 2 * self.leg_latency_ns
         #: Cumulative reliable-delivery recovery time.
         self.total_retry_ns = 0
         nprocs = params.P
@@ -126,157 +141,140 @@ class LogPNetwork:
         )
         return total / (nprocs * (nprocs - 1))
 
-    # -- gate helpers ------------------------------------------------------------
+    # -- gate arithmetic ---------------------------------------------------------
 
     def effective_g(self) -> int:
         """The gap currently applied (scaled by history when adaptive)."""
-        g = self.params.g_ns
+        g = self._g_ns
         if not self.adaptive or self._hops_messages == 0:
             return g
         observed = self._hops_total / self._hops_messages
         factor = min(1.0, observed / self._uniform_mean_hops)
         return round(g * factor)
 
-    def _observe(self, src: int, dst: int) -> None:
-        if self.adaptive:
-            self._hops_total += self.topology.hops(src, dst)
-            self._hops_messages += 1
+    def one_way_ns(self, src: int, dst: int,
+                   begin: int) -> Tuple[int, int, int]:
+        """One message ``src -> dst`` entering the network at ``begin``.
 
-    def _gate_send(self, node: int, at: int) -> int:
-        """Earliest time >= ``at`` the node may send; reserves the slot."""
-        start = max(at, self._send_gate[node])
-        self._send_gate[node] = start + self.effective_g()
-        return start
+        Returns plain ints ``(total, stall, retry)``; the contention-free
+        part of ``total`` is always :attr:`leg_latency_ns`.  This is the
+        only copy of the gate arithmetic: the sender waits for its gate,
+        the message spends ``L`` in transit, the receiver waits for its
+        gate, and each gate then closes for the (possibly adaptive) gap.
 
-    def _gate_recv(self, node: int, at: int) -> int:
-        """Earliest time >= ``at`` the node may receive; reserves the slot."""
-        start = max(at, self._recv_gate[node])
-        self._recv_gate[node] = start + self.effective_g()
-        return start
-
-    # -- trips --------------------------------------------------------------------
-
-    def one_way(self, src: int, dst: int, start_at: int = None) -> Trip:
-        """One message src -> dst; returns its timing decomposition."""
-        now = self.sim.now if start_at is None else start_at
-        if self.injector is not None:
-            return self._one_way_faulty(src, dst, now)
-        L = self.params.L_ns
-        o2 = 2 * self.params.o_ns
-        self._observe(src, dst)
-        sent = self._gate_send(src, now)
-        arrived = sent + L
-        received = self._gate_recv(dst, arrived)
-        total = (received - now) + o2
-        stall = (sent - now) + (received - arrived)
-        self.messages += 1
-        self.total_stall_ns += stall
-        if self._message_hooks:
-            for hook in self._message_hooks:
-                hook(received, src, dst, "logp", 0, True)
-        return Trip(
-            total_ns=total,
-            latency_ns=L + o2,
-            stall_ns=stall,
-            service_ns=0,
-            messages=1,
-        )
-
-    def _one_way_faulty(self, src: int, dst: int, begin: int) -> Trip:
-        """One message under fault injection with reliable delivery.
-
-        The LogP network abstracts links, so the ARQ protocol is
-        abstracted to match: each attempt pays the ordinary gated trip;
-        a lost or corrupted attempt costs a backed-off timeout before
-        the retransmission; a delivered attempt is confirmed by an ack
-        that costs one ``L`` (acks are small and not ``g``-gated -- the
-        deliberate simplification mirroring how the model already
-        ignores control-message sizes).  Link-failure windows apply to
-        any route the topology says crosses the dead link; node stalls
-        freeze the endpoint until their window closes.
-
-        The returned trip keeps the successful attempt's ``L`` as
-        latency and its gate waits as stall; everything else is
-        ``retry_ns``.
+        Under fault injection the same loop runs the reliable-delivery
+        protocol, abstracted the way the network abstracts links: each
+        attempt pays the ordinary gated trip; a lost or corrupted
+        attempt costs a backed-off timeout before the retransmission; a
+        delivered attempt is confirmed by an ack that costs one ``L``
+        (acks are small and not ``g``-gated -- the deliberate
+        simplification mirroring how the model already ignores
+        control-message sizes).  Link-failure windows apply to any route
+        the topology says crosses the dead link; node stalls freeze the
+        endpoint until their window closes.  ``stall`` is then the gate
+        waits of the first delivered attempt and ``retry`` everything
+        beyond it and the latency.
 
         :raises RetryLimitError: the retry cap was exhausted.
         """
-        from ..errors import RetryLimitError
-
         injector = self.injector
-        policy = self.retry_policy
-        message_hooks = self._message_hooks
-        arq_checkers = self._arq_checkers
-        L = self.params.L_ns
-        o2 = 2 * self.params.o_ns
-        self._observe(src, dst)
-        now = begin
+        faulty = injector is not None
+        hooks = self._message_hooks
+        send_gate = self._send_gate
+        recv_gate = self._recv_gate
+        L = self._L_ns
+        if self.adaptive:
+            self._hops_total += self.topology.hops(src, dst)
+            self._hops_messages += 1
+            g = self.effective_g()
+        else:
+            g = self._g_ns
+        if faulty:
+            for checker in self._arq_checkers:
+                checker.on_logical_send(begin, src, dst)
+        now = ready = begin
+        intact = reached = True
+        delay = 0
+        stall = None  # set by the first intact delivery
         failed_attempts = 0
-        delivered = False
-        latency = L + o2
-        stall = 0
-        for checker in arq_checkers:
-            checker.on_logical_send(begin, src, dst)
         while True:
-            send_stall = injector.stall_ns(src, now)
-            fate = injector.fate(src, dst, now + send_stall, check_route=True)
-            sent = self._gate_send(src, now + send_stall)
+            if faulty:
+                ready = now + injector.stall_ns(src, now)
+                fate = injector.fate(src, dst, ready, check_route=True)
+                intact = fate.delivered
+                reached = intact or fate.corrupted
+                delay = fate.delay_ns
+            sent = send_gate[src]
+            if sent < ready:
+                sent = ready
+            send_gate[src] = sent + g
             self.messages += 1
-            if not fate.delivered and not fate.corrupted:
+            if reached:
+                arrived = sent + L + delay
+                if faulty:
+                    arrived += injector.stall_ns(dst, arrived)
+                received = recv_gate[dst]
+                if received < arrived:
+                    received = arrived
+                recv_gate[dst] = received + g
+                failure_at = received
+            else:
                 # Lost in the network: the sender times out.
                 failure_at = sent + L
-                if message_hooks:
-                    for hook in message_hooks:
-                        hook(failure_at, src, dst, "logp", 0, False)
-            else:
-                arrived = sent + L + fate.delay_ns
-                recv_stall = injector.stall_ns(dst, arrived)
-                received = self._gate_recv(dst, arrived + recv_stall)
-                if fate.corrupted:
-                    # Checksum failure at the receiver: no ack follows.
-                    failure_at = received
-                    if message_hooks:
-                        for hook in message_hooks:
-                            hook(received, src, dst, "logp", 0, False)
-                else:
-                    if message_hooks:
-                        for hook in message_hooks:
-                            hook(received, src, dst, "logp", 0, True)
-                    for checker in arq_checkers:
-                        checker.on_app_delivery(received, src, dst, delivered)
-                    if not delivered:
-                        delivered = True
-                        stall = (sent - (now + send_stall)) + \
-                            (received - (arrived + recv_stall))
-                    ack_fate = injector.fate(
-                        dst, src, received, check_route=True
-                    )
-                    acked = received + L
-                    self.messages += 1
-                    if message_hooks:
-                        for hook in message_hooks:
-                            hook(acked, dst, src, "ack", 0,
-                                 ack_fate.delivered)
-                    if ack_fate.delivered:
-                        for checker in arq_checkers:
-                            checker.on_logical_complete(acked, src, dst)
-                        total = (acked - begin) + o2
-                        retry = max(0, total - latency - stall)
-                        self.total_stall_ns += stall
-                        self.total_retry_ns += retry
-                        return Trip(
-                            total_ns=total,
-                            latency_ns=latency,
-                            stall_ns=stall,
-                            service_ns=0,
-                            messages=1,
-                            retry_ns=retry,
+            for hook in hooks:
+                hook(failure_at, src, dst, "logp", 0, intact)
+            if intact:
+                if faulty:
+                    for checker in self._arq_checkers:
+                        checker.on_app_delivery(
+                            received, src, dst, stall is not None
                         )
-                    failure_at = acked
+                if stall is None:
+                    stall = (sent - ready) + (received - arrived)
+                if not faulty:
+                    self.total_stall_ns += stall
+                    return received - begin + self._o2_ns, stall, 0
+                ack_fate = injector.fate(dst, src, received, check_route=True)
+                failure_at = received + L
+                self.messages += 1
+                for hook in hooks:
+                    hook(failure_at, dst, src, "ack", 0, ack_fate.delivered)
+                if ack_fate.delivered:
+                    for checker in self._arq_checkers:
+                        checker.on_logical_complete(failure_at, src, dst)
+                    total = failure_at - begin + self._o2_ns
+                    retry = max(0, total - self.leg_latency_ns - stall)
+                    self.total_stall_ns += stall
+                    self.total_retry_ns += retry
+                    return total, stall, retry
             failed_attempts += 1
-            if failed_attempts > policy.max_retries:
+            if failed_attempts > self.retry_policy.max_retries:
                 raise RetryLimitError(src, dst, failed_attempts, failure_at)
-            now = failure_at + policy.backoff_ns(failed_attempts)
+            now = failure_at + self.retry_policy.backoff_ns(failed_attempts)
+
+    def round_trip_ns(self, src: int, dst: int,
+                      service_ns: int) -> Tuple[int, int, int]:
+        """Request, remote service, reply: ``(total, stall, retry)`` ints.
+
+        The contention-free part of ``total`` is
+        :attr:`round_trip_latency_ns` plus ``service_ns``.
+        """
+        now = self.sim._now
+        total, stall, retry = self.one_way_ns(src, dst, now)
+        back, back_stall, back_retry = self.one_way_ns(
+            dst, src, now + total + service_ns
+        )
+        return (total + service_ns + back, stall + back_stall,
+                retry + back_retry)
+
+    # -- public trips ---------------------------------------------------------------
+
+    def one_way(self, src: int, dst: int, start_at: int = None) -> Trip:
+        """One message src -> dst; returns its timing decomposition."""
+        total, stall, retry = self.one_way_ns(
+            src, dst, self.sim.now if start_at is None else start_at
+        )
+        return Trip(total, self.leg_latency_ns, stall, 0, 1, retry)
 
     def round_trip(self, src: int, dst: int, service_ns: int = 0) -> Trip:
         """Request src -> dst, remote service, reply dst -> src.
@@ -285,16 +283,41 @@ class LogPNetwork:
         remotely under the LogP abstraction.  ``service_ns`` models the
         remote node's memory/cache access between the two messages.
         """
+        total, stall, retry = self.round_trip_ns(src, dst, service_ns)
+        return Trip(total, self.round_trip_latency_ns, stall, service_ns, 2,
+                    retry)
+
+
+class LogPMessagePassing:
+    """Explicit messages for machines whose ``self.net`` is a LogPNetwork.
+
+    Mixed into :class:`~repro.core.machine.Machine` subclasses ahead of
+    the base class, whose ``mp_transmit`` is free.
+    """
+
+    def mp_transmit(self, pid: int, dst: int, nbytes: int):
+        """Explicit message through the LogP network, packetized.
+
+        Each packet is one LogP message: full ``L`` latency plus the
+        per-node ``g`` gating (and ``o``, were it non-zero) -- the
+        model's home turf, since LogP was formulated for message
+        passing.
+        """
+        if pid == dst:
+            return 0, 0
+        net = self.net
         now = self.sim.now
-        request = self.one_way(src, dst, now)
-        reply_start = now + request.total_ns + service_ns
-        reply = self.one_way(dst, src, reply_start)
-        total = request.total_ns + service_ns + reply.total_ns
-        return Trip(
-            total_ns=total,
-            latency_ns=request.latency_ns + reply.latency_ns,
-            stall_ns=request.stall_ns + reply.stall_ns,
-            service_ns=service_ns,
-            messages=2,
-            retry_ns=request.retry_ns + reply.retry_ns,
-        )
+        latency = 0
+        total = 0
+        remaining = nbytes
+        packet = self.config.data_message_bytes
+        while remaining > 0:
+            packet_total, _, retry = net.one_way_ns(pid, dst, now)
+            latency += net.leg_latency_ns
+            if packet_total > total:
+                total = packet_total
+            if retry:
+                self.record_retry(pid, retry)
+            remaining -= packet
+        yield total
+        return latency, 0

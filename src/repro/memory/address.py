@@ -114,6 +114,8 @@ class AddressSpace:
         self._bases: List[int] = []
         #: block id -> home node memo (coherence asks for the same hot
         #: blocks constantly; invalidated whenever a region is added).
+        #: Machines keep a reference to this dict on their hot paths, so
+        #: it is only ever cleared in place, never rebound.
         self._home_cache: Dict[int, int] = {}
 
     # -- allocation --------------------------------------------------------------
@@ -198,7 +200,13 @@ class AddressSpace:
 
     def home_of(self, addr: int) -> int:
         """Home node of the block containing ``addr``."""
-        return self.home_of_block(self.block_of(addr), self.region_of(addr))
+        block = addr // self.block_bytes
+        home = self._home_cache.get(block)
+        if home is not None:
+            return home
+        # Regions are whole blocks, so a memoised block is an allocated
+        # address; only a miss needs the region (or raises AddressError).
+        return self.home_of_block(block, self.region_of(addr))
 
     def home_of_block(self, block: int, region: Optional[Region] = None) -> int:
         """Home node of a global block id (memoized)."""

@@ -62,6 +62,28 @@ def test_unallocated_address_raises():
         space.home_of(10_000_000)
 
 
+def test_home_of_with_a_warm_memo():
+    """The block -> home memo answers first; misses still validate."""
+    space = make_space(4)
+    a = space.alloc("a", 64, 8, "blocked")
+    memo = space._home_cache
+    cold = [space.home_of(a.addr(i)) for i in range(64)]
+    assert memo  # filled by the lookups above
+    space.region_of = None  # a memo hit must not need the region
+    assert [space.home_of(a.addr(i)) for i in range(64)] == cold
+    del space.region_of
+    for bad in (0, BLOCK - 1, a.region.end, 10_000_000):
+        with pytest.raises(AddressError):
+            space.home_of(bad)
+    # A later alloc() empties the memo in place -- machines hold a
+    # reference to this very dict -- and lookups see the new region.
+    b = space.alloc("b", 8, 8, ("node", 3))
+    assert space._home_cache is memo and not memo
+    assert space.home_of(b.addr(0)) == 3
+    assert space.home_of(a.region.end) == 3  # was unallocated above
+    assert [space.home_of(a.addr(i)) for i in range(64)] == cold
+
+
 def test_blocked_distribution_chunks():
     space = make_space(4)
     # 16 blocks of 4 elements each, blocked over 4 nodes -> 4 blocks per node.
