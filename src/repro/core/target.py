@@ -77,16 +77,15 @@ class TargetMachine(Machine):
         #: Contention-free transmission times of the two message sizes.
         self._ctrl_ns = self._ctrl * self.fabric.ns_per_byte
         self._data_ns = self._data * self.fabric.ns_per_byte
-        if self.reliable is None and self.fabric.is_plain:
-            # Fault-free, hook-free fabric: transactions transmit
-            # through the Message-free latency path, and the directory
-            # transactions run their fully-inlined twins (every link
-            # grant and transmission delay yielded from the transaction
-            # frame itself -- no per-message sub-generator).
+        # One generator transaction serves every fabric; only the
+        # per-message transfer differs.  A plain fabric (fault-free,
+        # hook-free, zero switching delay) moves messages through the
+        # Message-free ``transmit_fast``; anything else pays for the
+        # full Message transfer.
+        self._net_lat = self._lat_general
+        self._spawn_inv = self._spawn_inv_gen
+        if self.fabric.is_plain:
             self._net_lat = self._lat_fast
-            self._read_tx = self._read_transaction_fast
-            self._write_tx = self._write_transaction_fast
-            self._inv_round = self._invalidation_round_fast
             # On a flat-capable kernel, invalidation rounds post as
             # flat ops (same event sequence, no generator frame), and
             # whole directory transactions run as tag-dispatched flat
@@ -128,14 +127,6 @@ class TargetMachine(Machine):
                     self._home_lock,
                     self._flat_ctx,
                 )
-            else:
-                self._spawn_inv = self._spawn_inv_gen
-        else:
-            self._net_lat = self._lat_general
-            self._read_tx = self._read_transaction
-            self._write_tx = self._write_transaction
-            self._inv_round = self._invalidation_round
-            self._spawn_inv = self._spawn_inv_gen
 
     def _net_transmit(self, pid: int, message: Message):
         """Generator: transmit on behalf of processor ``pid``.
@@ -203,8 +194,8 @@ class TargetMachine(Machine):
         """
         block = addr // self._block_bytes
         if is_write:
-            return self._write_tx(pid, block)
-        return self._read_tx(pid, block)
+            return self._write_transaction(pid, block)
+        return self._read_transaction(pid, block)
 
     def _transact_flat(self, pid: int, addr: int, is_write: bool):
         """One directory transaction as a flat op (plain fabric,
@@ -214,7 +205,7 @@ class TargetMachine(Machine):
         instead of a generator; the caller yields the returned FLAT_TX
         sentinel and is resumed with the same ``(latency, service)``
         pair, after the identical event sequence, as the generator
-        twins above (the parity tests pin this).
+        transactions below (the parity tests pin this).
         """
         block = addr // self._block_bytes
         return self.sim.flat_transact(
@@ -223,24 +214,26 @@ class TargetMachine(Machine):
             self._home_lock(block), is_write,
         )
 
+    def _post_data(self, src: int, dst: int, kind: str, block: int) -> None:
+        """Launch a block-sized message nobody waits for (``wb`` /
+        ``shwb``): off the critical path, but it occupies real links."""
+        fabric = self.fabric
+        if fabric.is_plain:
+            # Message-free form: identical link grants, delays, and
+            # counters -- a flat op on flat-capable kernels (see
+            # Fabric.post_fast).
+            fabric.post_fast(src, dst, self._data, name=kind)
+        else:
+            fabric.post(
+                Message(src, dst, self._data, kind), name=f"{kind}{block}"
+            )
+
     def _post_writeback(self, pid: int, writeback) -> None:
         """Launch an evicted victim's writeback message, if any."""
         if writeback is not None:
             victim_block, victim_home = writeback
             if victim_home != pid:
-                # Off the critical path, but it occupies real links.
-                fabric = self.fabric
-                if fabric.is_plain:
-                    # Message-object-free twin: identical link grants,
-                    # delays, and counters -- a flat op on flat-capable
-                    # kernels (see Fabric.post_fast).
-                    fabric.post_fast(pid, victim_home, self._data,
-                                     name="wb")
-                else:
-                    fabric.post(
-                        Message(pid, victim_home, self._data, "wb"),
-                        name=f"wb{victim_block}",
-                    )
+                self._post_data(pid, victim_home, "wb", victim_block)
 
     # -- transactions ------------------------------------------------------------------
 
@@ -283,10 +276,7 @@ class TargetMachine(Machine):
             if plan.sharing_writeback and source != home:
                 # Illinois: the dirty owner's data also returns to the
                 # home -- real traffic, off the requester's critical path.
-                self.fabric.post(
-                    Message(source, home, self._data, "shwb"),
-                    name=f"shwb{block}",
-                )
+                self._post_data(source, home, "shwb", block)
         self._post_writeback(pid, plan.writeback)
         return latency, service
 
@@ -369,7 +359,7 @@ class TargetMachine(Machine):
     def _spawn_inv_gen(self, pid: int, home: int, node: int):
         """Launch one invalidation round as a spawned generator."""
         return self.sim.spawn(
-            self._inv_round(pid, home, node), name=f"inv{node}"
+            self._invalidation_round(pid, home, node), name=f"inv{node}"
         )
 
     def _spawn_inv_flat(self, pid: int, home: int, node: int):
@@ -378,8 +368,8 @@ class TargetMachine(Machine):
 
         Two control-message legs -- inv out, ack back -- stepped by the
         kernel with no generator frame; the event timeline is identical
-        to the spawned ``_invalidation_round_fast`` (the parity tests
-        pin this).  The degenerate home==node round (no messages) keeps
+        to the spawned ``_invalidation_round`` (the parity tests pin
+        this).  The degenerate home==node round (no messages) keeps
         the generator form so its three-event start/finish/dispatch
         sequence is preserved exactly.
         """
@@ -396,223 +386,6 @@ class TargetMachine(Machine):
             fabric, ((out, ctrl, tx), (back, ctrl, tx))
         )
 
-    # -- plain-fabric fast transactions ------------------------------------------------
-    #
-    # Frame-flattened twins of the three generators above, selected at
-    # construction when the fabric is plain (fault-free, hook-free, zero
-    # switching delay).  Every link grant and transmission delay is
-    # yielded from the transaction's own frame -- no per-message
-    # sub-generator -- which removes one delegation hop from every
-    # resumption of every message transfer.  They MUST mirror the
-    # general versions' event sequence exactly: same yields in the same
-    # order under the same conditions (the cross-kernel and fast-path
-    # parity tests pin this).  Per-message accounting is applied by
-    # ``Fabric.settle_fast``.
-
-    def _read_transaction_fast(self, pid: int, block: int):
-        """``_read_transaction`` with transmits inlined (plain fabric)."""
-        fabric = self.fabric
-        sim = self.sim
-        routes = fabric._route_links
-        nprocs = fabric._nprocs
-        settle = fabric.settle_fast
-        latency = 0
-        service = 0
-        home = self.space.home_of_block(block)
-        if pid != home:
-            start = sim._now                       # read_req ->
-            path = routes[pid * nprocs + home]
-            for link in path:
-                yield link
-            circuit = sim._now
-            tx = self._ctrl_ns
-            yield tx
-            settle(path, self._ctrl, tx, start, circuit, sim._now)
-            latency += tx
-        home_lock = self._home_lock(block)
-        yield home_lock  # kernel-resolved FIFO grant (see Resource)
-        plan = self.memory.plan_read(pid, block)
-        if plan.hit:  # raced with ourselves; cannot normally happen
-            home_lock.release()
-            return 0, self._hit_ns
-        if plan.from_memory:
-            service += self._mem_ns
-            yield self._mem_ns
-            if home_lock._waiters:
-                home_lock.release()
-            else:
-                # Uncontended directory release inlined (this frame
-                # holds the lock, so in_use >= 1).
-                home_lock.in_use -= 1
-            if home != pid:
-                start = sim._now                   # data ->
-                path = routes[home * nprocs + pid]
-                for link in path:
-                    yield link
-                circuit = sim._now
-                tx = self._data_ns
-                yield tx
-                settle(path, self._data, tx, start, circuit, sim._now)
-                latency += tx
-        else:
-            # Owned by a remote cache: home forwards, owner supplies.
-            source = plan.source
-            if home != source:
-                start = sim._now                   # fwd ->
-                path = routes[home * nprocs + source]
-                for link in path:
-                    yield link
-                circuit = sim._now
-                tx = self._ctrl_ns
-                yield tx
-                settle(path, self._ctrl, tx, start, circuit, sim._now)
-                latency += tx
-            if home_lock._waiters:
-                home_lock.release()
-            else:
-                home_lock.in_use -= 1
-            service += self._hit_ns
-            yield self._hit_ns
-            start = sim._now                       # data ->
-            path = routes[source * nprocs + pid]
-            for link in path:
-                yield link
-            circuit = sim._now
-            tx = self._data_ns
-            yield tx
-            settle(path, self._data, tx, start, circuit, sim._now)
-            latency += tx
-            if plan.sharing_writeback and source != home:
-                # Illinois: the dirty owner's data also returns to the
-                # home -- real traffic, off the requester's critical path.
-                fabric.post_fast(source, home, self._data, name="shwb")
-        self._post_writeback(pid, plan.writeback)
-        return latency, service
-
-    def _write_transaction_fast(self, pid: int, block: int):
-        """``_write_transaction`` with transmits inlined (plain fabric)."""
-        fabric = self.fabric
-        sim = self.sim
-        routes = fabric._route_links
-        nprocs = fabric._nprocs
-        settle = fabric.settle_fast
-        latency = 0
-        service = 0
-        home = self.space.home_of_block(block)
-        if pid != home:
-            start = sim._now                       # write_req ->
-            path = routes[pid * nprocs + home]
-            for link in path:
-                yield link
-            circuit = sim._now
-            tx = self._ctrl_ns
-            yield tx
-            settle(path, self._ctrl, tx, start, circuit, sim._now)
-            latency += tx
-        home_lock = self._home_lock(block)
-        yield home_lock  # kernel-resolved FIFO grant (see Resource)
-        plan = self.memory.plan_write(pid, block)
-        if plan.fast:  # raced with ourselves; cannot normally happen
-            home_lock.release()
-            return 0, self._hit_ns
-        # Invalidations go out in parallel with the home-side work.  The
-        # previous owner (when it supplies the data) is invalidated by
-        # the forwarded request itself, not a separate message.
-        inv_targets = [s for s in plan.invalidated if s != plan.source]
-        inv_rounds = [
-            self._spawn_inv(pid, home, node) for node in inv_targets
-        ]
-        if not plan.had_data and plan.from_memory:
-            service += self._mem_ns
-            yield self._mem_ns
-        elif not plan.had_data:
-            source = plan.source
-            if home != source:
-                start = sim._now                   # fwd ->
-                path = routes[home * nprocs + source]
-                for link in path:
-                    yield link
-                circuit = sim._now
-                tx = self._ctrl_ns
-                yield tx
-                settle(path, self._ctrl, tx, start, circuit, sim._now)
-                latency += tx
-        if inv_rounds:
-            # Sequential consistency: the home releases the block only
-            # after every stale copy is gone.
-            yield all_of(sim, inv_rounds)
-            if any(node != home for node in inv_targets):
-                latency += self._inv_round_latency
-        if home_lock._waiters:
-            home_lock.release()
-        else:
-            home_lock.in_use -= 1
-        if plan.had_data:
-            # Ownership upgrade: permission only, granted by the home.
-            if pid != home:
-                start = sim._now                   # grant ->
-                path = routes[home * nprocs + pid]
-                for link in path:
-                    yield link
-                circuit = sim._now
-                tx = self._ctrl_ns
-                yield tx
-                settle(path, self._ctrl, tx, start, circuit, sim._now)
-                latency += tx
-        elif plan.from_memory:
-            if home != pid:
-                start = sim._now                   # data ->
-                path = routes[home * nprocs + pid]
-                for link in path:
-                    yield link
-                circuit = sim._now
-                tx = self._data_ns
-                yield tx
-                settle(path, self._data, tx, start, circuit, sim._now)
-                latency += tx
-        else:
-            source = plan.source
-            service += self._hit_ns
-            yield self._hit_ns
-            start = sim._now                       # data ->
-            path = routes[source * nprocs + pid]
-            for link in path:
-                yield link
-            circuit = sim._now
-            tx = self._data_ns
-            yield tx
-            settle(path, self._data, tx, start, circuit, sim._now)
-            latency += tx
-        self._post_writeback(pid, plan.writeback)
-        return latency, service
-
-    def _invalidation_round_fast(self, pid: int, home: int, node: int):
-        """``_invalidation_round`` with transmits inlined (plain fabric)."""
-        if home == node:
-            # The home invalidates its local cache without a message.
-            return
-        fabric = self.fabric
-        sim = self.sim
-        routes = fabric._route_links
-        nprocs = fabric._nprocs
-        settle = fabric.settle_fast
-        ctrl = self._ctrl
-        tx = self._ctrl_ns
-        start = sim._now                           # inv ->
-        path = routes[home * nprocs + node]
-        for link in path:
-            yield link
-        circuit = sim._now
-        yield tx
-        settle(path, ctrl, tx, start, circuit, sim._now)
-        start = sim._now                           # ack ->
-        path = routes[node * nprocs + home]
-        for link in path:
-            yield link
-        circuit = sim._now
-        yield tx
-        settle(path, ctrl, tx, start, circuit, sim._now)
-
     # -- plumbing -----------------------------------------------------------------------
 
     def mp_transmit(self, pid: int, dst: int, nbytes: int):
@@ -625,7 +398,7 @@ class TargetMachine(Machine):
             return 0, 0
         latency = 0
         remaining = nbytes
-        packet = self.config.data_message_bytes
+        packet = self._data
         while remaining > 0:
             size = min(packet, remaining)
             latency += yield from self._net_lat(pid, pid, dst, size, "mp")

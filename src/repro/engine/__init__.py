@@ -4,8 +4,8 @@ This subpackage is the stand-in for CSIM, the sequential simulation
 library the paper's SPASM simulator was built on.  It provides:
 
 * :class:`~repro.engine.core.Simulator` -- the event loop with an
-  integer-nanosecond clock (the *object* kernel, also the instrumented
-  path for sanitizer checkers),
+  integer-nanosecond clock (the *object* kernel: one heap-only loop,
+  the hookable reference every other kernel is checked against),
 * :class:`~repro.engine.soa.SoaSimulator` -- the struct-of-arrays
   kernel, the default un-instrumented fast path,
 * :func:`make_simulator` -- the kernel-selecting factory machines use,

@@ -659,7 +659,7 @@ event_succeed_c(FlatCtx *fc, PyObject *shell, PyObject *value)
 }
 
 /* Book one completed leg: per-link counters and releases plus the
- * fabric totals (Fabric.settle_fast twin).  Transaction legs also
+ * fabric totals (Fabric.transmit_fast's tail).  Transaction legs also
  * bank the transmission time into op[19] (add_latency). */
 static int
 flat_settle_c(FlatCtx *fc, PyObject *op, int64_t now, int add_latency)

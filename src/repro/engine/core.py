@@ -9,34 +9,22 @@ to a processor generator which delegates to cache/network generators.
 
 Design notes
 ------------
+* This module is the *object* kernel: the readable, hookable
+  specification of the engine.  It has exactly one run loop and one
+  scheduling primitive, and every faster kernel
+  (:mod:`repro.engine.soa`, the compiled tier) is checked against it
+  event for event.  It is also the slowest kernel; use
+  :func:`repro.engine.make_simulator` to select one.  Whenever
+  sanitizer checkers attach engine hooks the object kernel is used
+  regardless, so hooks always observe real ``(time, seq)`` actions.
 * Time is an integer nanosecond count (see :mod:`repro.units`).
-* Pending *future* work lives in a binary heap keyed by
+* All pending work lives in one binary heap keyed by
   ``(time, sequence)`` so same-time events fire in schedule order --
   this makes every run deterministic, which the tests rely on.
-* Work scheduled at the *current* time -- event dispatches from
-  :meth:`Event.succeed`, zero-delay timeouts, process start-ups --
-  bypasses the heap through a FIFO ring (a ``deque``).  This preserves
-  the exact ``(time, sequence)`` execution order of the heap-only
-  engine: every heap entry for time ``t`` was necessarily pushed while
-  ``now < t`` (once the clock reaches ``t`` a same-time schedule goes
-  to the ring instead), so its sequence number is smaller than that of
-  any ring entry created at ``t``.  The run loop therefore drains all
-  heap entries at ``now`` before touching the ring, and the ring is
-  FIFO, which is sequence order.
-* Events trigger *immediately* (callbacks run synchronously from
-  ``succeed``) only if the engine is not mid-callback for that event;
-  to keep semantics simple we always defer callbacks through the ring
-  at the current time.  ``succeed`` is therefore safe to call from any
-  context, including from inside another callback.
-* When sanitizer checkers attach engine hooks the engine runs the
-  legacy heap-only path so every action carries a real ``(time, seq)``
-  pair for the hooks; both paths execute identical event sequences.
-* ``Timeout`` objects created through :meth:`Simulator.timeout` are
-  pooled: after a timeout expires and its callbacks have run, the
-  object is recycled for the next ``timeout()`` call.  Internal code
-  never touches a timeout after resuming from it, which makes this
-  safe; holding a reference to an *expired* timeout (e.g. registering
-  a late callback on it) is not supported for pooled timeouts.
+* Events never run their callbacks synchronously from ``succeed``: the
+  dispatch is always deferred through the queue at the current time.
+  ``succeed`` is therefore safe to call from any context, including
+  from inside another callback.
 * Two allocation-free yield forms exist for the hottest waits.  A
   process may ``yield <int>`` for a plain sleep nobody else observes
   (equivalent to ``yield sim.timeout(n)``, minus the Timeout object),
@@ -52,21 +40,14 @@ Design notes
   the ``try_acquire`` + ``TURN`` pair and a busy one exactly like
   yielding ``request()`` -- same scheduled actions, same ``(time,
   seq)`` positions, so instrumented digests are unchanged.  The
-  struct-of-arrays kernel (:mod:`repro.engine.soa`) instead parks the
-  process as a packed integer in the resource's waiter queue, which is
-  why the call sites moved to this form.
-* This module is the *object* kernel.  The un-instrumented fast path
-  normally runs on the struct-of-arrays kernel in
-  :mod:`repro.engine.soa`; use :func:`repro.engine.make_simulator` to
-  select one.  Whenever sanitizer checkers attach engine hooks the
-  object kernel is used regardless, so hooks always observe real
-  ``(time, seq)`` actions.
+  struct-of-arrays kernel instead parks the process as a packed
+  integer in the resource's waiter queue, which is why the call sites
+  moved to this form.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -232,43 +213,17 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed simulated delay.
+    """An event that triggers after a fixed simulated delay."""
 
-    Timeouts obtained from :meth:`Simulator.timeout` are recycled after
-    they expire (see the module design notes); constructing ``Timeout``
-    directly yields an unpooled one-shot object.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_expire_bound",)
-
-    def __init__(self, sim: "Simulator", delay: int, value: Any = None,
-                 _pooled: bool = False):
+    def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        self.sim = sim
-        self._callbacks = []
+        super().__init__(sim)
         self.triggered = True  # nobody may succeed() it again
         self.value = value
-        self._exception = None
-        self._expire_bound = self._expire_pooled if _pooled else self._dispatch
-        sim._schedule(sim._now + delay, self._expire_bound)
-
-    def _expire_pooled(self) -> None:
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                if callback.__class__ is int:
-                    # SoA-kernel waiter (see Event._dispatch).
-                    self.sim._advance(callback, self.value, None)
-                else:
-                    callback(self)
-            callbacks.clear()
-        else:
-            callbacks = []
-        # Reset and return to the pool; the callbacks list is reused.
-        self._callbacks = callbacks
-        self.value = None
-        self.sim._timeout_pool.append(self)
+        sim._schedule(sim._now + delay, self._dispatch)
 
 
 class Process(Event):
@@ -337,7 +292,7 @@ class Process(Event):
         if type(target) is int:
             # Plain sleep: resume ``target`` ns from now, at the queue
             # position a Timeout's expiry action would have occupied --
-            # without allocating (or pooling) a Timeout at all.
+            # without allocating a Timeout at all.
             if target < 0:
                 sim._blocked -= 1
                 raise SimulationError(
@@ -411,10 +366,8 @@ class Simulator:
     def __init__(self, fail_fast: bool = True, checkers=()):
         self._now = 0
         self._queue: List = []
-        self._fifo: deque = deque()
         self._sequence = 0
         self._blocked = 0
-        self._timeout_pool: List[Timeout] = []
         #: When True (default) an exception escaping a process aborts the
         #: whole simulation immediately instead of failing the process
         #: event silently.
@@ -422,13 +375,7 @@ class Simulator:
         #: Count of low-level scheduler steps; exposed because the paper's
         #: "speed of simulation" comparison is about event counts.
         self.events_executed = 0
-        # Allocation-light profiling counters (always maintained; plain
-        # integer bumps are far cheaper than the allocations they count).
-        self._ring_scheduled = 0
-        self._timeouts_issued = 0
-        self._timeouts_pooled = 0
         self._processes_spawned = 0
-        self._ring_executed = 0
         #: Sanitizer checkers observing this engine (see
         #: :mod:`repro.checkers`).  Only their engine-level hooks are
         #: dispatched here; machine models wire the rest.
@@ -452,15 +399,10 @@ class Simulator:
             if getattr(checker, "state_digest", None) is not None:
                 self._determinism = checker
                 break
-        #: True when engine-level hooks are attached: the engine then
-        #: runs the legacy heap-only path so every action carries a real
-        #: ``(time, seq)`` pair for the hooks.
+        #: True when engine-level hooks are attached; kernel selection
+        #: (:func:`repro.engine.make_simulator`) then keeps this object
+        #: kernel, the only one that feeds hooks.
         self._instrumented = bool(self._event_hooks or self._schedule_hooks)
-        if not self._instrumented:
-            # Shadow the hooked scheduling methods with the ring-aware
-            # fast versions; instance attributes win over class methods.
-            self._schedule = self._schedule_fast
-            self._schedule_event = self._schedule_event_fast
 
     def state_digest(self) -> Optional[str]:
         """Rolling execution digest, or None without a determinism checker.
@@ -478,26 +420,21 @@ class Simulator:
         Exposed behind the CLI's ``--profile-engine`` flag and the
         service ``/stats`` endpoint; the counters themselves are
         maintained unconditionally (plain integer bumps).  ``heap_pops``
-        / ``ring_pops`` break executed events out by queue;
+        / ``ring_pops`` break executed events out by queue: this kernel
+        has only the heap, the SoA kernel adds a same-time ring.
         ``rows_recycled`` counts free-list row reuse and is only
         non-zero on the SoA kernel (the object kernel has no row table).
         """
         return {
             "kernel": self.kernel,
             "events_executed": self.events_executed,
-            "ring_executed": self._ring_executed,
-            "heap_executed": self.events_executed - self._ring_executed,
-            "heap_pops": self.events_executed - self._ring_executed,
-            "ring_pops": self._ring_executed,
+            "heap_pops": self.events_executed,
+            "ring_pops": 0,
             "heap_pushes": self._sequence,
-            "ring_scheduled": self._ring_scheduled,
             "rows_recycled": 0,
             "compactions": 0,
             "flat_posts": 0,
             "flat_tx": 0,
-            "timeouts_issued": self._timeouts_issued,
-            "timeouts_pooled": self._timeouts_pooled,
-            "timeout_pool_size": len(self._timeout_pool),
             "processes_spawned": self._processes_spawned,
             "instrumented": int(self._instrumented),
         }
@@ -512,28 +449,15 @@ class Simulator:
     # -- scheduling primitives ----------------------------------------------
 
     def _schedule(self, at: int, action: Callable[[], None]) -> None:
-        # Hooked (legacy) path: every action goes through the heap with
-        # a real sequence number.  Un-instrumented simulators shadow
-        # this with :meth:`_schedule_fast` in ``__init__``.
+        # Every action goes through the heap with a real sequence
+        # number -- the ``(time, seq)`` pair hooks observe.
         for hook in self._schedule_hooks:
             hook(at, self._now)
         self._sequence += 1
         heapq.heappush(self._queue, (at, self._sequence, action))
 
-    def _schedule_fast(self, at: int, action: Callable[[], None]) -> None:
-        if at == self._now:
-            self._ring_scheduled += 1
-            self._fifo.append(action)
-        else:
-            self._sequence += 1
-            heapq.heappush(self._queue, (at, self._sequence, action))
-
     def _schedule_event(self, event: Event) -> None:
         self._schedule(self._now, event._dispatch)
-
-    def _schedule_event_fast(self, event: Event) -> None:
-        self._ring_scheduled += 1
-        self._fifo.append(event._dispatch)
 
     # -- public API ----------------------------------------------------------
 
@@ -543,17 +467,7 @@ class Simulator:
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` ns from now."""
-        self._timeouts_issued += 1
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay}")
-            self._timeouts_pooled += 1
-            timeout = pool.pop()
-            timeout.value = value
-            self._schedule(self._now + delay, timeout._expire_bound)
-            return timeout
-        return Timeout(self, delay, value, _pooled=True)
+        return Timeout(self, delay, value)
 
     def spawn(self, generator: ProcessGenerator, name: str = "process") -> Process:
         """Start a new simulated process."""
@@ -579,113 +493,7 @@ class Simulator:
         :raises DeadlockError: the queue drained with blocked processes.
         :raises WatchdogError: the ``max_events`` budget was exhausted.
         """
-        if until_ns is not None:
-            if until is not None:
-                raise SimulationError("pass either until or until_ns, not both")
-            until = until_ns
-        if max_events is not None and max_events <= 0:
-            raise SimulationError(
-                f"max_events must be positive, got {max_events}"
-            )
-        if self._instrumented:
-            return self._run_hooked(until, max_events)
-        if until is None and max_events is None:
-            return self._run_fast()
-        return self._run_guarded(until, max_events)
-
-    def _run_fast(self) -> int:
-        """Checker-free loop: no hook dispatch, no horizon/watchdog checks.
-
-        Heap entries at the current time run before ring entries (see
-        the module design notes for why that reproduces ``(time, seq)``
-        order exactly).
-        """
-        queue = self._queue
-        fifo = self._fifo
-        fifo_popleft = fifo.popleft
-        heappop = heapq.heappop
-        executed = 0
-        ring_executed = 0
-        now = self._now
-        try:
-            while True:
-                if queue:
-                    at = queue[0][0]
-                    if at <= now:
-                        if at < now:
-                            raise SimulationError(
-                                f"time went backwards: {at} < {now}"
-                            )
-                        action = heappop(queue)[2]
-                        executed += 1
-                        action()
-                        continue
-                    if not fifo:
-                        action = heappop(queue)[2]
-                        now = self._now = at
-                        executed += 1
-                        action()
-                        continue
-                elif not fifo:
-                    break
-                action = fifo_popleft()
-                executed += 1
-                ring_executed += 1
-                action()
-        finally:
-            self.events_executed += executed
-            self._ring_executed += ring_executed
-        if self._blocked > 0:
-            raise DeadlockError(self._blocked, self._now)
-        return self._now
-
-    def _run_guarded(self, until: Optional[int],
-                     max_events: Optional[int]) -> int:
-        """Ring-aware loop with horizon and watchdog checks (no hooks)."""
-        queue = self._queue
-        fifo = self._fifo
-        executed = 0
-        now = self._now
-        while True:
-            if queue:
-                at = queue[0][0]
-                use_ring = at > now and bool(fifo)
-            elif fifo:
-                use_ring = True
-            else:
-                break
-            if use_ring:
-                at = now
-            if until is not None and at > until:
-                self._now = until
-                return until
-            if max_events is not None and executed >= max_events:
-                raise WatchdogError(
-                    self._now, executed, self._blocked,
-                    len(queue) + len(fifo)
-                )
-            if use_ring:
-                action = fifo.popleft()
-                self._ring_executed += 1
-            else:
-                if at < now:
-                    raise SimulationError(
-                        f"time went backwards: {at} < {now}"
-                    )
-                action = heapq.heappop(queue)[2]
-                now = self._now = at
-            self.events_executed += 1
-            executed += 1
-            action()
-        if until is None and self._blocked > 0:
-            raise DeadlockError(self._blocked, self._now)
-        if until is not None:
-            self._now = max(self._now, until)
-        return self._now
-
-    def _run_hooked(self, until: Optional[int],
-                    max_events: Optional[int]) -> int:
-        """Legacy heap-only loop dispatching sanitizer hooks per event."""
+        until = self._check_run_args(until, max_events, until_ns)
         queue = self._queue
         event_hooks = self._event_hooks
         executed = 0
@@ -706,15 +514,28 @@ class Simulator:
             self._now = at
             self.events_executed += 1
             executed += 1
-            if event_hooks:
-                for hook in event_hooks:
-                    hook(at, seq, action)
+            for hook in event_hooks:
+                hook(at, seq, action)
             action()
         if until is None and self._blocked > 0:
             raise DeadlockError(self._blocked, self._now)
         if until is not None:
             self._now = max(self._now, until)
         return self._now
+
+    @staticmethod
+    def _check_run_args(until: Optional[int], max_events: Optional[int],
+                        until_ns: Optional[int]) -> Optional[int]:
+        """Validate :meth:`run`'s arguments; return the horizon."""
+        if until_ns is not None:
+            if until is not None:
+                raise SimulationError("pass either until or until_ns, not both")
+            until = until_ns
+        if max_events is not None and max_events <= 0:
+            raise SimulationError(
+                f"max_events must be positive, got {max_events}"
+            )
+        return until
 
 
 def all_of(sim: Simulator, events: List[Event]) -> Event:

@@ -1,12 +1,11 @@
 """Struct-of-arrays event kernel: the un-instrumented fast engine.
 
-The object kernel in :mod:`repro.engine.core` drives every event
-through Python objects -- a heap of ``(time, seq, action)`` tuples, a
-``functools.partial`` per resumption, a ``Process._step`` frame per
-yield.  At a few microseconds of host time per simulated event that
-interpreter-dispatch overhead is the repo's scaling ceiling (see
-ROADMAP item 2).  This module replaces the storage and the loop while
-keeping the executed *event sequence* bit-identical:
+The object kernel in :mod:`repro.engine.core` is the reference: one
+heap of ``(time, seq, action)`` tuples, a ``functools.partial`` per
+resumption, a ``Process._step`` frame per yield -- readable and
+hookable, at a few microseconds of host time per simulated event.
+This module replaces the storage and the loop while keeping the
+executed *event sequence* bit-identical to it:
 
 Packed queue words
     Most events are process resumptions that carry at most a small int
@@ -37,7 +36,12 @@ Index-based heap + same-time FIFO ring
     stale, no matter when a nested call grows the table.  Work
     scheduled at the current time bypasses the heap through a deque
     holding packed resume words (tag bit set) and shifted row indices
-    (tag bit clear), mirroring the object kernel's ring.
+    (tag bit clear).  The ring preserves the heap-only order of the
+    object kernel: every heap entry for time ``t`` was pushed while
+    ``now < t`` (once the clock reaches ``t`` a same-time schedule
+    goes to the ring instead), so it precedes every ring entry created
+    at ``t``; the run loop drains the heap entries at ``now`` before
+    touching the ring, and the ring is FIFO, which is sequence order.
 
 Free-list row recycling
     Every popped row is returned to a free list before its action runs
@@ -68,8 +72,8 @@ Direct generator drive
 
 Kernel selection (see :func:`repro.engine.make_simulator`): the SoA
 kernel is the default un-instrumented engine; ``REPRO_ENGINE=object``
-or ``SystemConfig.engine_kernel`` forces the fallback, and simulators
-with engine-level checker hooks *always* run the object kernel so
+or ``SystemConfig.engine_kernel`` selects the reference kernel, and
+simulators with engine-level checker hooks *always* run it so
 sanitizers observe real ``(time, seq)`` actions.  Both kernels execute
 identical event sequences -- same ``sim_events``, same results, same
 determinism digests -- which the parity tests pin.
@@ -224,6 +228,10 @@ class SoaSimulator(Simulator):
         self._free: List[int] = []
         self._heap: List[int] = []
         self._ring: deque = deque()
+        # Ring tallies (the object kernel has no ring).  The compiled
+        # loop flushes into these by name.
+        self._ring_scheduled = 0
+        self._ring_executed = 0
         self._rows_recycled = 0
         self._compactions = 0
         # Process table: generator, cached bound send, joinable shell.
@@ -251,8 +259,8 @@ class SoaSimulator(Simulator):
         # C loop for any other callable) just makes the call.
         self._flat_mctx: Optional[tuple] = None
         # Event.succeed / timeouts / late callbacks schedule through
-        # these entry points; shadow the object-kernel pair installed by
-        # Simulator.__init__ with row pushes.
+        # these entry points; shadow the object kernel's heap pushes
+        # with row pushes.
         self._schedule = self._schedule_row
         self._schedule_event = self._schedule_event_row
 
@@ -289,8 +297,8 @@ class SoaSimulator(Simulator):
         heapq.heappush(self._heap, (at << ROW_BITS) | row)
 
     def _schedule_row(self, at: int, action) -> None:
-        # Legacy entry point (unpooled Timeouts, late add_callback
-        # joiners): the callable rides in the payload column.
+        # Legacy entry point (Timeouts, late add_callback joiners):
+        # the callable rides in the payload column.
         if at == self._now:
             self._payload_row(K_CALL, 0, action)
         else:
@@ -532,8 +540,8 @@ class SoaSimulator(Simulator):
                     link.release()
                 else:
                     # Uncontended release inlined (this op holds the
-                    # link, so in_use >= 1) -- same as
-                    # Fabric.settle_fast.
+                    # link, so in_use >= 1) -- same accounting as
+                    # Fabric.transmit_fast.
                     link.in_use -= 1
             fabric.messages += 1
             fabric.bytes_transported += nbytes
@@ -620,7 +628,8 @@ class SoaSimulator(Simulator):
     # -- flat transaction helpers -----------------------------------------
 
     def _flat_settle(self, op: list, now: int) -> None:
-        """Book one completed transaction leg (Fabric.settle_fast twin)."""
+        """Book one completed transaction leg (the accounting tail of
+        Fabric.transmit_fast)."""
         fabric = op[1]
         path = op[3]
         nbytes = op[4]
@@ -963,7 +972,7 @@ class SoaSimulator(Simulator):
 
         Method-form twin of the run loop's inline dispatch, used when a
         process is resumed from a handler context (event callbacks,
-        pooled-timeout expiry, the guarded loop).  Every branch lands
+        timeout expiry, the guarded loop).  Every branch lands
         the resumption at the exact queue position the object kernel
         would have used.
         """
@@ -1073,8 +1082,11 @@ class SoaSimulator(Simulator):
         # Heap pushes are not separately counted on the hot path (the
         # object kernel reuses its sequence counter for this); every
         # push was either already popped or is still pending.
-        heap_executed = self.events_executed - self._ring_executed
-        profile["heap_pushes"] = heap_executed + len(self._heap)
+        heap_pops = self.events_executed - self._ring_executed
+        profile["heap_pops"] = heap_pops
+        profile["ring_pops"] = self._ring_executed
+        profile["heap_pushes"] = heap_pops + len(self._heap)
+        profile["ring_scheduled"] = self._ring_scheduled
         profile["rows_recycled"] = self._rows_recycled
         profile["compactions"] = self._compactions
         profile["flat_posts"] = self._flat_posts
@@ -1091,16 +1103,7 @@ class SoaSimulator(Simulator):
             max_events: Optional[int] = None,
             until_ns: Optional[int] = None) -> int:
         """Execute events; see :meth:`Simulator.run` for the contract."""
-        if until_ns is not None:
-            if until is not None:
-                raise SimulationError(
-                    "pass either until or until_ns, not both"
-                )
-            until = until_ns
-        if max_events is not None and max_events <= 0:
-            raise SimulationError(
-                f"max_events must be positive, got {max_events}"
-            )
+        until = self._check_run_args(until, max_events, until_ns)
         if until is None and max_events is None:
             return self._run_fast()
         return self._run_guarded(until, max_events)
@@ -1108,11 +1111,12 @@ class SoaSimulator(Simulator):
     def _run_fast(self) -> int:
         """The hot loop: pop words, drive generators, push words.
 
-        Heap rows at the current time run before ring words (same
-        argument as the object kernel's ring design note).  The common
-        resume tags and the single-int-waiter event dispatch are fully
-        inlined -- the deliberate duplication with :meth:`_handle_yield`
-        buys one less Python frame per event.  Locals cache every
+        Heap rows at the current time run before ring words (see the
+        module docstring for why that reproduces the object kernel's
+        ``(time, seq)`` order).  The common resume tags and the
+        single-int-waiter event dispatch are fully inlined -- the
+        deliberate duplication with :meth:`_handle_yield` buys one
+        less Python frame per event.  Locals cache every
         container; all of them are mutated in place (compaction grows
         the array rather than replacing it), so the cached references
         stay valid across anything a process resumption does.  Ring and

@@ -127,18 +127,14 @@ class Fabric:
                 link = self._links.get((window.src, window.dst))
                 if link is not None:
                     link.fail_windows = link.fail_windows + (window,)
-        #: True when the lean transfer path is active (fault-free,
-        #: hook-free, zero switching delay).  Machines key their own
-        #: fast paths off this flag (see ``TargetMachine._net_lat``).
+        #: True when the fabric is fault-free, hook-free and has zero
+        #: switching delay, i.e. ``transmit_fast``/``post_fast`` are
+        #: valid.  Machines key their own fast paths off this flag
+        #: (see ``TargetMachine._net_lat``).
         self.is_plain = (
             injector is None and switch_delay_ns == 0
             and not self._message_hooks
         )
-        if self.is_plain:
-            # Shadow the general transfer protocol with the lean path.
-            # The event sequence (one grant per link, one transmission
-            # timeout) is identical; only per-message host work differs.
-            self.transmit = self._transmit_plain
         #: Total messages transported.
         self.messages = 0
         #: Total payload bytes transported.
@@ -253,56 +249,19 @@ class Fabric:
         """The deterministic route as a pre-resolved tuple of Links."""
         return self._route_links[src * self._nprocs + dst]
 
-    def _transmit_plain(self, message: Message):
-        """Generator: ``transmit`` specialized for the fault-free,
-        hook-free, zero-switch-delay fabric (the common case).
-
-        Yields the exact event sequence of the general path -- one link
-        grant per hop in path order, then one transmission timeout -- so
-        simulated results are bit-identical; it only strips per-message
-        host-side work (injector branches, hook dispatch, held-list
-        bookkeeping).
-        """
-        src = message.src
-        dst = message.dst
-        if src == dst:
-            return TransferResult(0, 0)
-        sim = self.sim
-        start = sim._now
-        path = self._route_links[src * self._nprocs + dst]
-        for link in path:
-            # Kernel-resolved grant: the engine inlines try_acquire on
-            # the free case and parks a packed int waiter on the busy
-            # case -- no Event allocation either way on the SoA kernel.
-            yield link
-        circuit_done = sim._now
-        nbytes = message.nbytes
-        transmit_ns = nbytes * self.ns_per_byte
-        yield transmit_ns
-        held_ns = sim._now - circuit_done
-        for link in path:
-            link.messages += 1
-            link.bytes_carried += nbytes
-            link.busy_ns += held_ns
-            link.release()
-        contention = circuit_done - start
-        self.messages += 1
-        self.bytes_transported += nbytes
-        self.total_latency_ns += transmit_ns
-        self.total_contention_ns += contention
-        return TransferResult(transmit_ns, contention)
-
     def transmit_fast(self, src: int, dst: int, nbytes: int):
-        """Generator: ``_transmit_plain`` without the Message envelope.
+        """Generator: :meth:`transmit` for the plain fabric, without
+        the Message envelope.
 
         Returns the latency (the transmission time) as a plain int --
         no :class:`Message`, no :class:`TransferResult` -- for callers
         on the fault-free fast path that only need the latency split
         (the contention split is observable as elapsed minus returned).
-        Yields the exact event sequence of :meth:`transmit`, and updates
-        the same fabric and per-link statistics, so simulated results
-        and instrumentation are bit-identical with the general path.
-        Only valid when :attr:`is_plain` is true.
+        Yields the exact event sequence of :meth:`transmit` -- one link
+        grant per hop in path order, then one transmission sleep -- and
+        updates the same fabric and per-link statistics, so simulated
+        results and instrumentation are bit-identical with the general
+        path.  Only valid when :attr:`is_plain` is true.
         """
         if src == dst:
             return 0
@@ -327,32 +286,6 @@ class Fabric:
         self.total_latency_ns += transmit_ns
         self.total_contention_ns += circuit_done - start
         return transmit_ns
-
-    def settle_fast(self, path: Tuple[Link, ...], nbytes: int,
-                    transmit_ns: int, start: int, circuit_done: int,
-                    end: int) -> None:
-        """Book one completed fast-path transfer (see ``transmit_fast``).
-
-        Callers that inline the acquire/transmit yields into their own
-        generator frame (the target machine's plain transactions) call
-        this once per message to apply the identical per-link and
-        fabric-level accounting.
-        """
-        held_ns = end - circuit_done
-        for link in path:
-            link.messages += 1
-            link.bytes_carried += nbytes
-            link.busy_ns += held_ns
-            if link._waiters:
-                link.release()
-            else:
-                # Uncontended release inlined (in_use >= 1 is
-                # guaranteed: this frame acquired the link above).
-                link.in_use -= 1
-        self.messages += 1
-        self.bytes_transported += nbytes
-        self.total_latency_ns += transmit_ns
-        self.total_contention_ns += circuit_done - start
 
     def post_fast(self, src: int, dst: int, nbytes: int,
                   name: str = "post"):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import SystemConfig
 from repro.apps import make_app
+from repro.engine import HAVE_EXTENSION, resolve_kernel
 
 #: Tiny application parameter sets used across the tests -- small enough
 #: that a full simulation takes well under a second.
@@ -48,6 +51,31 @@ def pytest_addoption(parser):
         help="rewrite tests/goldens/*.json with the digests of the "
              "current build instead of comparing against them",
     )
+
+
+def _kernel_line() -> str:
+    """One loud line naming the kernel tiers this run can reach, so a
+    suite that never touched the compiled tier says so."""
+    env = " ".join(
+        f"{name}={os.environ.get(name, '')!r}"
+        for name in ("REPRO_ENGINE", "REPRO_CHECK", "REPRO_CSOA")
+    )
+    return (
+        f"repro kernels: auto -> {resolve_kernel('auto').upper()}, "
+        f"HAVE_EXTENSION={HAVE_EXTENSION} "
+        f"(compiled-tier tests {'RUN' if HAVE_EXTENSION else 'SKIPPED'}); "
+        f"{env}"
+    )
+
+
+def pytest_report_header(config):
+    return _kernel_line()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # ``-q`` (the tier-1 command) suppresses the report header.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(_kernel_line())
 
 
 @pytest.fixture

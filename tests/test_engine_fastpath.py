@@ -1,73 +1,21 @@
-"""Engine fast-path semantics: ring ordering, TURN grants, int sleeps.
+"""Allocation-free yield forms on the reference loop: TURN, int sleeps.
 
-The un-instrumented engine dispatches same-time work through a FIFO
-ring and supports two allocation-free yield forms (``yield <int>``
-sleeps and ``yield TURN`` grants).  These tests pin the property the
-whole PR rests on: the fast paths execute the *same event sequence* as
-the legacy heap-only instrumented engine, so simulated results cannot
-depend on which loop ran.
+The object kernel has one heap-only run loop.  A process may use two
+allocation-free yield forms on it (``yield <int>`` sleeps and ``yield
+TURN`` grants); these tests pin that each executes the *same event
+sequence* as the event-based form it replaces, and that the loop's
+``until`` horizon and ``max_events`` watchdog see same-time work too.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.checkers.base import Checker
 from repro.engine.core import TURN, Simulator
 from repro.engine.resource import Resource
 from repro.errors import WatchdogError
 from repro.core.runner import simulate_spec
 from repro.runspec import RunSpec
-
-
-class _HookedChecker(Checker):
-    """Minimal checker whose engine hook forces the legacy heap loop."""
-
-    name = "hooked"
-
-    def __init__(self):
-        super().__init__()
-        self.seen = 0
-
-    def on_event(self, at, seq, action):
-        self.seen += 1
-
-
-def _run_scenario(sim: Simulator):
-    """Two processes interleaving zero-delay sleeps, real sleeps, and
-    resource grants; returns the observed execution order."""
-    log = []
-    lock = Resource(sim, capacity=1, name="lock")
-
-    def worker(tag):
-        log.append((tag, "start", sim.now))
-        yield 0  # zero-delay sleep: same-time redispatch
-        log.append((tag, "after-zero", sim.now))
-        yield TURN if lock.try_acquire() else lock.request()
-        log.append((tag, "locked", sim.now))
-        yield 7
-        log.append((tag, "held", sim.now))
-        lock.release()
-        yield 3
-        log.append((tag, "done", sim.now))
-
-    sim.spawn(worker("a"))
-    sim.spawn(worker("b"))
-    sim.run()
-    return log
-
-
-def test_fast_ring_matches_instrumented_heap_order():
-    # The ring-based fast loop and the hooked heap-only loop must
-    # execute the identical sequence (the instrumented sim sees real
-    # (time, seq) pairs; the fast sim bypasses them -- same results).
-    fast_log = _run_scenario(Simulator())
-    checker = _HookedChecker()
-    hooked_sim = Simulator(checkers=(checker,))
-    assert hooked_sim._instrumented
-    hooked_log = _run_scenario(hooked_sim)
-    assert fast_log == hooked_log
-    assert checker.seen > 0
 
 
 def test_turn_grant_is_equivalent_to_event_grant():
@@ -125,44 +73,15 @@ def test_int_sleep_matches_timeout_event():
         [("b", 0), ("a", 10), ("c", 10)]
 
 
-def test_pooled_timeouts_are_recycled():
-    sim = Simulator()
-    resumed = []
-
-    def proc():
-        first = sim.timeout(4)
-        yield first
-        resumed.append(sim.now)
-        # ``first`` is still mid-dispatch here (it returns to the pool
-        # only after its callbacks finish, so waiters can still read its
-        # value), hence the second timeout is a fresh object ...
-        second = sim.timeout(6)
-        assert second is not first
-        yield second
-        resumed.append(sim.now)
-        # ... and by now ``first`` has been pooled and gets recycled.
-        third = sim.timeout(2)
-        assert third is first
-        yield third
-        resumed.append(sim.now)
-
-    sim.spawn(proc())
-    sim.run()
-    assert resumed == [4, 10, 12]
-    profile = sim.engine_profile()
-    assert profile["timeouts_issued"] == 3
-    assert profile["timeouts_pooled"] == 1
-
-
 def test_until_horizon_in_guarded_loop():
-    # ``until`` runs through _run_guarded (checker-free, ring-aware):
-    # events past the horizon stay queued and the clock parks at it.
+    # Events past the ``until`` horizon stay queued and the clock
+    # parks at it.
     sim = Simulator()
     seen = []
 
     def ticker():
         for _ in range(10):
-            yield 0  # ring entries must not outrun the horizon logic
+            yield 0  # same-time work must not outrun the horizon logic
             yield 4
             seen.append(sim.now)
 
@@ -175,7 +94,7 @@ def test_until_horizon_in_guarded_loop():
 
 
 def test_watchdog_counts_ring_events():
-    # max_events must count ring-dispatched work too, or a same-time
+    # max_events must count same-time work too, or a same-time
     # livelock (e.g. two processes ping-ponging zero-delay sleeps)
     # would never trip the watchdog.
     sim = Simulator()

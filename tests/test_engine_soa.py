@@ -135,28 +135,21 @@ def test_guarded_run_parity_with_object_kernel():
     assert outcomes[0] == outcomes[1]
 
 
-# -- pooled timeouts under SoA ------------------------------------------------
+# -- timeouts under SoA -------------------------------------------------------
 
 
-def test_soa_recycles_pooled_timeouts():
+def test_soa_timeout_values_arrive_in_order():
     sim = SoaSimulator()
     seen = []
 
     def ticker():
         for n in range(6):
             value = yield sim.timeout(5, value=n)
-            seen.append(value)
+            seen.append((sim.now, value))
 
     sim.spawn(ticker())
     sim.run()
-    assert seen == list(range(6))
-    profile = sim.engine_profile()
-    assert profile["timeouts_issued"] == 6
-    # The expired timeout returns to the pool *after* its waiter
-    # resumes, so the waiter's immediate re-arm allocates once more;
-    # from the third tick on, every timeout comes from the pool.
-    assert profile["timeouts_pooled"] == 4
-    assert len(sim._timeout_pool) == 2
+    assert seen == [(5 * (n + 1), n) for n in range(6)]
 
 
 # -- row table growth and recycling -------------------------------------------
