@@ -52,7 +52,8 @@ def make_checkers(config) -> Optional[CheckerSet]:
       transition and the determinism digest.
     * ``digest=True`` attaches the determinism checker at any level,
       including ``off`` (observation only -- the digest never perturbs
-      the run).
+      the run, and being fed natively by every kernel it does not
+      select the object kernel the way the hooked levels do).
     """
     level = config.check
     checkers = []

@@ -31,6 +31,13 @@ Checkers override any subset of the no-op hooks on :class:`Checker`:
 hook, the subset that actually overrides it -- hook sites hold a tuple
 that is empty (and therefore falsy, one branch) when no checker cares.
 
+The determinism digest (:mod:`repro.checkers.determinism`) is fed
+outside this hook protocol: every kernel's event loop and every
+message-completion site hands it kernel-independent records directly,
+so attaching it neither selects the object kernel (only ``on_event`` /
+``on_schedule`` hooks do) nor takes the fabric off its plain path (only
+``on_message`` hooks do).
+
 A violated invariant raises :class:`~repro.errors.InvariantError`
 immediately, carrying the checker name, the simulated time, and the
 offending state.  A clean run aggregates per-checker statistics into a
@@ -175,8 +182,30 @@ class CheckReport:
 
 
 def _overrides(checker: Checker, hook: str) -> bool:
-    """True when the checker's class overrides the named hook."""
-    return getattr(type(checker), hook) is not getattr(Checker, hook)
+    """True when the checker's class overrides the named hook (a
+    duck-typed checker without the attribute does not)."""
+    base = getattr(Checker, hook)
+    return getattr(type(checker), hook, base) is not base
+
+
+def hook_methods(checkers: Sequence[Checker], hook: str) -> tuple:
+    """The bound ``hook`` methods of the checkers that override it.
+
+    Shared by :class:`CheckerSet`, the object kernel (which dispatches
+    ``on_event`` / ``on_schedule``) and kernel selection: a checker
+    overriding either of those two is what makes
+    :func:`repro.engine.make_simulator` pick the object kernel.
+    """
+    return tuple(
+        getattr(checker, hook) for checker in checkers
+        if _overrides(checker, hook)
+    )
+
+
+def find_determinism(checkers: Sequence[Checker]) -> Optional[Checker]:
+    """The determinism-digest checker (the one exposing
+    ``state_digest``) among ``checkers``, or None."""
+    return next((c for c in checkers if hasattr(c, "state_digest")), None)
 
 
 class CheckerSet:
@@ -190,20 +219,10 @@ class CheckerSet:
     def __init__(self, level: str, checkers: Sequence[Checker]):
         self.level = level
         self.checkers = tuple(checkers)
-        self.event_hooks = tuple(
-            c.on_event for c in self.checkers if _overrides(c, "on_event")
-        )
-        self.schedule_hooks = tuple(
-            c.on_schedule for c in self.checkers
-            if _overrides(c, "on_schedule")
-        )
-        self.message_hooks = tuple(
-            c.on_message for c in self.checkers if _overrides(c, "on_message")
-        )
-        self.transition_hooks = tuple(
-            c.on_transition for c in self.checkers
-            if _overrides(c, "on_transition")
-        )
+        self.event_hooks = hook_methods(self.checkers, "on_event")
+        self.schedule_hooks = hook_methods(self.checkers, "on_schedule")
+        self.message_hooks = hook_methods(self.checkers, "on_message")
+        self.transition_hooks = hook_methods(self.checkers, "on_transition")
         #: Checkers that follow the ARQ logical-message lifecycle.
         self.arq_checkers = tuple(
             c for c in self.checkers
@@ -211,6 +230,10 @@ class CheckerSet:
             or _overrides(c, "on_app_delivery")
             or _overrides(c, "on_logical_complete")
         )
+        #: The determinism-digest checker, or None.  It installs no
+        #: hook: the simulator holds it too, and the kernels and
+        #: message-completion sites feed it directly.
+        self.determinism = find_determinism(self.checkers)
 
     def __bool__(self) -> bool:
         return bool(self.checkers)
@@ -220,11 +243,9 @@ class CheckerSet:
 
     def state_digest(self) -> Optional[str]:
         """Digest from the attached determinism checker, if any."""
-        for checker in self.checkers:
-            digest = getattr(checker, "state_digest", None)
-            if digest is not None:
-                return digest()
-        return None
+        if self.determinism is None:
+            return None
+        return self.determinism.state_digest()
 
     def finalize(self, machine) -> CheckReport:
         """Run end-of-run checks and aggregate the report.

@@ -529,7 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of batching until the next "
                             "externally visible interaction")
     p_run.add_argument("--digest", action="store_true",
-                       help="compute and print the determinism digest")
+                       help="compute and print the determinism digest "
+                            "(runs on the selected kernel; the value is "
+                            "the same on every kernel)")
     p_run.set_defaults(func=_cmd_run)
 
     p_figure = sub.add_parser(

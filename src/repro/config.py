@@ -164,8 +164,8 @@ class SystemConfig:
     #: Engine kernel for the event core: ``"compiled"`` (the SoA
     #: kernel driven by the optional C hot loop), ``"soa"`` (the
     #: pure-Python struct-of-arrays fast path), ``"object"`` (the
-    #: original object engine, also the path instrumented runs always
-    #: take) or ``"auto"`` (consult ``REPRO_ENGINE``, else compiled
+    #: original object engine, also the path ``check="basic"|"strict"``
+    #: runs always take) or ``"auto"`` (consult ``REPRO_ENGINE``, else compiled
     #: when the extension is built, else SoA).  All kernels execute
     #: identical event sequences; the knob only changes host speed.
     #: Defaults to the ``REPRO_ENGINE`` environment variable, or

@@ -95,6 +95,9 @@ class LogPNetwork:
         self._arq_checkers = (
             checkers.arq_checkers if checkers is not None else ()
         )
+        #: Determinism-digest record sink (None without a digest).
+        digest = sim._determinism
+        self._digest_message = digest.message if digest is not None else None
         #: Optional :class:`~repro.faults.injector.FaultInjector`; when
         #: set, every message goes through the reliable-delivery loop
         #: of :meth:`one_way_ns` (see there).
@@ -180,6 +183,7 @@ class LogPNetwork:
         injector = self.injector
         faulty = injector is not None
         hooks = self._message_hooks
+        record = self._digest_message
         send_gate = self._send_gate
         recv_gate = self._recv_gate
         L = self._L_ns
@@ -223,6 +227,8 @@ class LogPNetwork:
                 failure_at = sent + L
             for hook in hooks:
                 hook(failure_at, src, dst, "logp", 0, intact)
+            if record is not None:
+                record(failure_at, src, dst, 0, intact)
             if intact:
                 if faulty:
                     for checker in self._arq_checkers:
@@ -239,6 +245,8 @@ class LogPNetwork:
                 self.messages += 1
                 for hook in hooks:
                     hook(failure_at, dst, src, "ack", 0, ack_fate.delivered)
+                if record is not None:
+                    record(failure_at, dst, src, 0, ack_fate.delivered)
                 if ack_fate.delivered:
                     for checker in self._arq_checkers:
                         checker.on_logical_complete(failure_at, src, dst)

@@ -131,9 +131,10 @@ class Machine(ABC):
         #: unchecked code paths (see :mod:`repro.checkers`).
         self.checkers = make_checkers(config)
         # Kernel selection honours config.engine_kernel / REPRO_ENGINE;
-        # whenever checkers attach engine hooks the factory falls back
-        # to the object kernel so sanitizers see real (time, seq)
-        # actions (see repro.engine.make_simulator).
+        # whenever checkers attach on_event / on_schedule hooks the
+        # factory falls back to the object kernel so they see real
+        # (time, seq) actions (see repro.engine.make_simulator).  The
+        # determinism digest alone does not: every kernel feeds it.
         self.sim = make_simulator(
             checkers=self.checkers.checkers if self.checkers else (),
             kernel=config.engine_kernel,

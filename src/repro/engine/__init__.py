@@ -7,7 +7,8 @@ library the paper's SPASM simulator was built on.  It provides:
   integer-nanosecond clock (the *object* kernel: one heap-only loop,
   the hookable reference every other kernel is checked against),
 * :class:`~repro.engine.soa.SoaSimulator` -- the struct-of-arrays
-  kernel, the default un-instrumented fast path,
+  kernel, the default fast path (it feeds the determinism digest but
+  hosts no ``on_event`` / ``on_schedule`` hooks),
 * :func:`make_simulator` -- the kernel-selecting factory machines use,
 * :class:`~repro.engine.core.Process` -- simulated processes written as
   Python generators that ``yield`` events,
@@ -21,6 +22,7 @@ library the paper's SPASM simulator was built on.  It provides:
 import os
 import warnings
 
+from ..checkers.base import hook_methods
 from .compiled import HAVE_EXTENSION, CompiledSimulator
 from .core import TURN, Acquirable, Event, Process, Simulator, Timeout, all_of
 from .resource import Resource
@@ -70,16 +72,19 @@ def make_simulator(checkers=(), kernel: str = "auto",
     """Build a simulator on the selected kernel.
 
     The *object-path-for-hooks invariant* lives here: whenever any
-    attached checker installs engine-level hooks (``on_event`` /
-    ``on_spawn``), the object kernel is used regardless of the knob, so
-    sanitizers always observe real ``(time, seq, action)`` triples.
-    All kernels execute identical event sequences, so flipping the
-    knob never changes results -- only host time.
+    attached checker overrides an engine-level hook (``on_event`` /
+    ``on_schedule`` -- ``--check basic|strict``), the object kernel is
+    used regardless of the knob, so those hooks always observe real
+    ``(time, seq, action)`` triples.  The determinism digest is not
+    such a hook (every kernel feeds it natively), so ``digest=True``
+    alone runs on the selected kernel.  All kernels execute identical
+    event sequences, so flipping the knob never changes results or
+    digests -- only host time.
     """
     resolved = resolve_kernel(kernel)
-    sim = Simulator(fail_fast=fail_fast, checkers=checkers)
-    if resolved == "object" or sim._instrumented:
-        return sim
+    if (resolved == "object" or hook_methods(checkers, "on_event")
+            or hook_methods(checkers, "on_schedule")):
+        return Simulator(fail_fast=fail_fast, checkers=checkers)
     if resolved == "compiled":
         return CompiledSimulator(fail_fast=fail_fast, checkers=checkers)
     return SoaSimulator(fail_fast=fail_fast, checkers=checkers)

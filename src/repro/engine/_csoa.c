@@ -56,6 +56,14 @@
  *    delegated to the bound Python methods (`_execute_word`,
  *    `_handle_yield`), which implement the slow cases with Python
  *    ints at the exact same queue positions.
+ *  - The determinism digest (`sim._determinism`, see
+ *    repro/checkers/determinism.py) is fed natively: the time of every
+ *    executed event goes into a bounded C-side int64 buffer handed to
+ *    `feed_times` when full and on every exit path (drained, handoff,
+ *    error), so `state_digest()` is exact after any return; every leg
+ *    settled here calls the checker's `message` at the position the
+ *    Python settle sites do.  Without a digest the loop pays one
+ *    NULL test per event.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -104,6 +112,9 @@
  * the pure-Python kernel. */
 #define MAX_AT ((((int64_t)1) << (63 - ROW_BITS)) - 1)
 
+/* Event-time records buffered before they are handed to the digest. */
+#define DIGEST_CAP 8192
+
 /* Injected by configure(): types/singletons from repro.engine.core. */
 static PyObject *g_acquirable = NULL;
 static PyObject *g_event = NULL;
@@ -127,7 +138,8 @@ static PyObject *s_heap, *s_ring, *s_free, *s_c_meta, *s_payload,
     *s_sharing_writeback, *s_had_data, *s_writeback, *s_shwb,
     *s_flat_fail, *s_flat_wr_invs, *s_invalidated, *s_fast, *s_hit,
     *s_flat_posts, *s_flat_tx, *s_flat_mctx, *s_triggered,
-    *s_spawn_inv;
+    *s_spawn_inv, *s_determinism, *s_feed_times, *s_message, *s_src,
+    *s_dst;
 
 /* -- small helpers ------------------------------------------------------- */
 
@@ -425,6 +437,7 @@ typedef struct {
     PyObject *flat_step_py;     /* bound _flat_step (fallback) */
     PyObject *flat_wake_py;     /* bound _flat_wake (odd tags) */
     PyObject *flat_wr_join_py;  /* bound _flat_wr_join */
+    PyObject *digest_message;   /* bound checker.message, or NULL */
     int64_t *ring_scheduled;
     int64_t *recycled;
     /* Fabric-counter write-behind: settle totals for the (single)
@@ -658,6 +671,57 @@ event_succeed_c(FlatCtx *fc, PyObject *shell, PyObject *value)
     return 0;
 }
 
+/* Hand the buffered event times to the digest (`feed_times` takes one
+ * native int64 per executed event).  The buffer is emptied even when
+ * the call fails, so an error exit cannot feed a record twice. */
+static int
+digest_flush(PyObject *digest, const int64_t *buf, Py_ssize_t *n)
+{
+    PyObject *raw, *r;
+    if (*n == 0)
+        return 0;
+    raw = PyBytes_FromStringAndSize((const char *)buf,
+                                    *n * (Py_ssize_t)sizeof(int64_t));
+    *n = 0;
+    if (raw == NULL)
+        return -1;
+    r = PyObject_CallMethodOneArg(digest, s_feed_times, raw);
+    Py_DECREF(raw);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* The digest's record of one settled leg: `(now, first link's src,
+ * last link's dst, nbytes, delivered=True)` -- what the Python settle
+ * sites pass.  `path` is a tuple of Links (empty raises, as `path[0]`
+ * does there). */
+static int
+digest_message_c(PyObject *digest_message, int64_t now, PyObject *path,
+                 PyObject *nbytes)
+{
+    PyObject *now_o, *src, *dst, *r = NULL;
+    Py_ssize_t n = PyTuple_GET_SIZE(path);
+    if (n == 0) {
+        PyErr_SetString(PyExc_IndexError, "_csoa: flat-op path is empty");
+        return -1;
+    }
+    now_o = PyLong_FromLongLong((long long)now);
+    src = PyObject_GetAttr(PyTuple_GET_ITEM(path, 0), s_src);
+    dst = PyObject_GetAttr(PyTuple_GET_ITEM(path, n - 1), s_dst);
+    if (now_o != NULL && src != NULL && dst != NULL)
+        r = PyObject_CallFunctionObjArgs(digest_message, now_o, src, dst,
+                                         nbytes, Py_True, NULL);
+    Py_XDECREF(now_o);
+    Py_XDECREF(src);
+    Py_XDECREF(dst);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
 /* Book one completed leg: per-link counters and releases plus the
  * fabric totals (Fabric.transmit_fast's tail).  Transaction legs also
  * bank the transmission time into op[19] (add_latency). */
@@ -703,6 +767,10 @@ flat_settle_c(FlatCtx *fc, PyObject *op, int64_t now, int add_latency)
             || add_int_attr(fabric, s_total_latency_ns, tx) < 0
             || add_int_attr(fabric, s_total_contention_ns,
                             circuit - start) < 0)
+        return -1;
+    if (fc->digest_message != NULL
+            && digest_message_c(fc->digest_message, now, path,
+                                PyList_GET_ITEM(op, 4)) < 0)
         return -1;
     if (add_latency) {
         int64_t lat;
@@ -1739,6 +1807,9 @@ csoa_run_fast(PyObject *module, PyObject *sim)
         *execute_word_m = NULL;
     PyObject *flat_ops = NULL, *flat_free = NULL, *flat_wr_join_m = NULL;
     PyObject *mctx = NULL, *mctx_trans = NULL;  /* borrowed from mctx */
+    PyObject *digest = NULL, *digest_message = NULL;
+    int64_t *digest_buf = NULL;  /* NULL: no digest attached */
+    Py_ssize_t digest_n = 0;
     PyObject *result = NULL;
     FlatCtx fc = {0};
     int64_t now;
@@ -1813,6 +1884,20 @@ csoa_run_fast(PyObject *module, PyObject *sim)
         goto cleanup;
     if (PyTuple_CheckExact(mctx) && PyTuple_GET_SIZE(mctx) == 7)
         mctx_trans = PyTuple_GET_ITEM(mctx, 0);
+    digest = PyObject_GetAttr(sim, s_determinism);
+    if (digest == NULL)
+        goto cleanup;
+    if (digest != Py_None) {
+        digest_message = PyObject_GetAttr(digest, s_message);
+        if (digest_message == NULL)
+            goto cleanup;
+        fc.digest_message = digest_message;
+        digest_buf = PyMem_Malloc(DIGEST_CAP * sizeof(int64_t));
+        if (digest_buf == NULL) {
+            PyErr_NoMemory();
+            goto cleanup;
+        }
+    }
 
     if (get_int_attr(sim, s_now, &now) < 0) {
         /* Clock already past int64: run on the pure-Python loop. */
@@ -1881,6 +1966,12 @@ csoa_run_fast(PyObject *module, PyObject *sim)
             }
         }
         executed++;
+        if (digest_buf != NULL) {
+            digest_buf[digest_n++] = now;
+            if (digest_n == DIGEST_CAP
+                    && digest_flush(digest, digest_buf, &digest_n) < 0)
+                goto cleanup_flush;
+        }
 
         if (have_key) {
             /* Heap row: sleeps, flat-op wakes, legacy callables. */
@@ -2463,6 +2554,9 @@ drive:
     }
 
 flush:
+    if (digest_buf != NULL
+            && digest_flush(digest, digest_buf, &digest_n) < 0)
+        goto cleanup_flush;
     if (flat_flush_counters(&fc) < 0)
         goto cleanup;
     if (flush_counters(sim, executed, ring_executed, ring_scheduled,
@@ -2476,6 +2570,9 @@ cleanup_flush:
     {
         PyObject *etype, *evalue, *etb;
         PyErr_Fetch(&etype, &evalue, &etb);
+        if (digest_buf != NULL
+                && digest_flush(digest, digest_buf, &digest_n) < 0)
+            PyErr_Clear();
         if (flat_flush_counters(&fc) < 0)
             PyErr_Clear();
         if (flush_counters(sim, executed, ring_executed, ring_scheduled,
@@ -2485,6 +2582,9 @@ cleanup_flush:
     }
 
 cleanup:
+    PyMem_Free(digest_buf);
+    Py_XDECREF(digest);
+    Py_XDECREF(digest_message);
     Py_XDECREF(fc.fabric);
     Py_XDECREF(mctx);
     Py_XDECREF(heap);
@@ -2628,6 +2728,11 @@ PyInit__csoa(void)
     INTERN(s_flat_mctx, "_flat_mctx");
     INTERN(s_triggered, "triggered");
     INTERN(s_spawn_inv, "_spawn_inv");
+    INTERN(s_determinism, "_determinism");
+    INTERN(s_feed_times, "feed_times");
+    INTERN(s_message, "message");
+    INTERN(s_src, "src");
+    INTERN(s_dst, "dst");
 #undef INTERN
     m = PyModule_Create(&csoa_module);
     return m;

@@ -15,8 +15,10 @@ Design notes
   (:mod:`repro.engine.soa`, the compiled tier) is checked against it
   event for event.  It is also the slowest kernel; use
   :func:`repro.engine.make_simulator` to select one.  Whenever
-  sanitizer checkers attach engine hooks the object kernel is used
-  regardless, so hooks always observe real ``(time, seq)`` actions.
+  sanitizer checkers attach ``on_event`` / ``on_schedule`` hooks the
+  object kernel is used regardless, so hooks always observe real
+  ``(time, seq)`` actions.  The determinism digest is not such a hook:
+  every kernel feeds it the time of each executed event.
 * Time is an integer nanosecond count (see :mod:`repro.units`).
 * All pending work lives in one binary heap keyed by
   ``(time, sequence)`` so same-time events fire in schedule order --
@@ -51,6 +53,7 @@ import heapq
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
+from ..checkers.base import find_determinism, hook_methods
 from ..errors import DeadlockError, ReproError, SimulationError, WatchdogError
 
 #: Type alias for simulated-process generators.
@@ -379,26 +382,13 @@ class Simulator:
         #: Sanitizer checkers observing this engine (see
         #: :mod:`repro.checkers`).  Only their engine-level hooks are
         #: dispatched here; machine models wire the rest.
-        from ..checkers.base import Checker
         self.checkers = tuple(checkers)
-        self._event_hooks = tuple(
-            checker.on_event for checker in self.checkers
-            if getattr(type(checker), "on_event", None)
-            not in (None, Checker.on_event)
-        )
-        self._schedule_hooks = tuple(
-            checker.on_schedule for checker in self.checkers
-            if getattr(type(checker), "on_schedule", None)
-            not in (None, Checker.on_schedule)
-        )
-        #: The determinism checker (first checker exposing
-        #: ``state_digest``), resolved once so :meth:`state_digest` is a
-        #: plain delegation instead of a per-call ``getattr`` scan.
-        self._determinism = None
-        for checker in self.checkers:
-            if getattr(checker, "state_digest", None) is not None:
-                self._determinism = checker
-                break
+        self._event_hooks = hook_methods(self.checkers, "on_event")
+        self._schedule_hooks = hook_methods(self.checkers, "on_schedule")
+        #: The determinism checker, or None.  Every run loop feeds it
+        #: the time of each executed event; the compiled loop reads
+        #: this attribute by name.
+        self._determinism = find_determinism(self.checkers)
         #: True when engine-level hooks are attached; kernel selection
         #: (:func:`repro.engine.make_simulator`) then keeps this object
         #: kernel, the only one that feeds hooks.
@@ -496,6 +486,7 @@ class Simulator:
         until = self._check_run_args(until, max_events, until_ns)
         queue = self._queue
         event_hooks = self._event_hooks
+        digest = self._determinism
         executed = 0
         while queue:
             at, seq, action = queue[0]
@@ -514,6 +505,8 @@ class Simulator:
             self._now = at
             self.events_executed += 1
             executed += 1
+            if digest is not None:
+                digest.event(at)
             for hook in event_hooks:
                 hook(at, seq, action)
             action()

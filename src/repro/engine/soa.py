@@ -1,4 +1,4 @@
-"""Struct-of-arrays event kernel: the un-instrumented fast engine.
+"""Struct-of-arrays event kernel: the fast engine.
 
 The object kernel in :mod:`repro.engine.core` is the reference: one
 heap of ``(time, seq, action)`` tuples, a ``functools.partial`` per
@@ -71,12 +71,16 @@ Direct generator drive
     ints and resumed via :meth:`SoaSimulator._advance`.
 
 Kernel selection (see :func:`repro.engine.make_simulator`): the SoA
-kernel is the default un-instrumented engine; ``REPRO_ENGINE=object``
-or ``SystemConfig.engine_kernel`` selects the reference kernel, and
-simulators with engine-level checker hooks *always* run it so
-sanitizers observe real ``(time, seq)`` actions.  Both kernels execute
-identical event sequences -- same ``sim_events``, same results, same
-determinism digests -- which the parity tests pin.
+kernel is the default engine; ``REPRO_ENGINE=object`` or
+``SystemConfig.engine_kernel`` selects the reference kernel, and
+simulators whose checkers override ``on_event`` / ``on_schedule``
+*always* run it so those hooks observe real ``(time, seq)`` actions.
+Both kernels execute identical event sequences -- same ``sim_events``,
+same results -- and both feed the determinism digest the same records
+(the time of every executed event from the run loops, every settled
+flat leg from the two settle sites below), so a ``digest=True`` run
+stays on this kernel and must hash to the object kernel's value, which
+the parity tests pin.
 
 The loop is deliberately written in a compile-friendly style -- int
 words, flat branches on small int tags, no closures in the hot path --
@@ -193,7 +197,8 @@ class SoaSimulator(Simulator):
     ``engine_profile``) is unchanged; only the internal event storage
     and the run loop differ.  Construct through
     :func:`repro.engine.make_simulator`, which enforces the
-    object-path-for-hooks invariant.
+    object-path-for-hooks invariant (``on_event`` / ``on_schedule``
+    hooks are refused here; the determinism digest is fed natively).
     """
 
     kernel = "soa"
@@ -547,6 +552,9 @@ class SoaSimulator(Simulator):
             fabric.bytes_transported += nbytes
             fabric.total_latency_ns += tx
             fabric.total_contention_ns += circuit - op[7]
+            digest = self._determinism
+            if digest is not None:
+                digest.message(now, path[0].src, path[-1].dst, nbytes, True)
             legs = op[2]
             legidx = op[10] + 1
             if legidx < len(legs):
@@ -648,6 +656,9 @@ class SoaSimulator(Simulator):
         fabric.bytes_transported += nbytes
         fabric.total_latency_ns += tx
         fabric.total_contention_ns += circuit - op[7]
+        digest = self._determinism
+        if digest is not None:
+            digest.message(now, path[0].src, path[-1].dst, nbytes, True)
         op[19] += tx
 
     def _flat_leg(self, opidx: int, op: list, src: int, dst: int,
@@ -1137,6 +1148,8 @@ class SoaSimulator(Simulator):
         ring_append = ring.append
         free_append = free.append
         free_pop = free.pop
+        digest = self._determinism
+        record = digest.event if digest is not None else None
         now = self._now
         executed = 0
         ring_executed = 0
@@ -1167,6 +1180,8 @@ class SoaSimulator(Simulator):
                 else:
                     break
                 executed += 1
+                if record is not None:
+                    record(now)
                 if e < 0:
                     # Heap row: sleeps, flat-op wakes, and legacy
                     # callables live on the heap.
@@ -1397,6 +1412,7 @@ class SoaSimulator(Simulator):
         heap = self._heap
         ring = self._ring
         free = self._free
+        digest = self._determinism
         executed = 0
         now = self._now
         while True:
@@ -1422,6 +1438,8 @@ class SoaSimulator(Simulator):
                 )
             self.events_executed += 1
             executed += 1
+            if digest is not None:
+                digest.event(at)
             if use_ring:
                 self._ring_executed += 1
                 self._execute_word(ring.popleft())

@@ -46,8 +46,11 @@ from ..runspec import RunSpec, canonical_json
 
 #: Entry schema version.  Bump when the entry layout changes; stale
 #: entries then read as misses and are overwritten in place.
-#: Version 2 added the per-entry content checksum.
-STORE_SCHEMA = 2
+#: Version 2 added the per-entry content checksum.  Version 3 marks
+#: the redefinition of ``check_report.digest`` over the
+#: kernel-independent record stream (same layout, new meaning): an
+#: older entry must not answer a ``digest=True`` spec.
+STORE_SCHEMA = 3
 
 #: Suffix given to corrupt entries moved out of the cache's way.
 QUARANTINE_SUFFIX = ".quarantined"

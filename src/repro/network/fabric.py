@@ -98,6 +98,12 @@ class Fabric:
         self._message_hooks = (
             checkers.message_hooks if checkers is not None else ()
         )
+        #: Determinism-digest record sink (None without a digest): the
+        #: simulator's, so the kernel's flat settle sites and the
+        #: completion sites below feed one stream.  Not a hook -- the
+        #: plain sites feed it too, so a digest leaves ``is_plain`` alone.
+        digest = sim._determinism
+        self._digest_message = digest.message if digest is not None else None
         self._links: Dict[LinkId, Link] = {
             link_id: Link(sim, *link_id) for link_id in topology.links()
         }
@@ -127,10 +133,11 @@ class Fabric:
                 link = self._links.get((window.src, window.dst))
                 if link is not None:
                     link.fail_windows = link.fail_windows + (window,)
-        #: True when the fabric is fault-free, hook-free and has zero
-        #: switching delay, i.e. ``transmit_fast``/``post_fast`` are
-        #: valid.  Machines key their own fast paths off this flag
-        #: (see ``TargetMachine._net_lat``).
+        #: True when the fabric is fault-free, free of ``on_message``
+        #: hooks and has zero switching delay, i.e.
+        #: ``transmit_fast``/``post_fast`` are valid.  Machines key
+        #: their own fast paths off this flag (see
+        #: ``TargetMachine._net_lat``).
         self.is_plain = (
             injector is None and switch_delay_ns == 0
             and not self._message_hooks
@@ -201,6 +208,9 @@ class Fabric:
                     for hook in self._message_hooks:
                         hook(sim.now, message.src, message.dst,
                              message.kind, message.nbytes, False)
+                if self._digest_message is not None:
+                    self._digest_message(sim.now, message.src, message.dst,
+                                         message.nbytes, False)
                 return TransferResult(
                     latency_ns=0,
                     contention_ns=max(0, sim.now - start - fault_ns),
@@ -238,6 +248,9 @@ class Fabric:
             for hook in self._message_hooks:
                 hook(sim.now, message.src, message.dst,
                      message.kind, message.nbytes, delivered)
+        if self._digest_message is not None:
+            self._digest_message(sim.now, message.src, message.dst,
+                                 message.nbytes, delivered)
         return TransferResult(
             latency_ns=latency,
             contention_ns=contention,
@@ -285,6 +298,8 @@ class Fabric:
         self.bytes_transported += nbytes
         self.total_latency_ns += transmit_ns
         self.total_contention_ns += circuit_done - start
+        if self._digest_message is not None:
+            self._digest_message(sim._now, src, dst, nbytes, True)
         return transmit_ns
 
     def post_fast(self, src: int, dst: int, nbytes: int,

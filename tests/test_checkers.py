@@ -300,8 +300,10 @@ def test_checker_set_precomputes_hook_tuples():
                   CoherenceChecker(), ExactlyOnceChecker(),
                   DeterminismChecker()]
     )
-    assert len(checkers.event_hooks) == 2       # monotonicity + determinism
+    assert len(checkers.event_hooks) == 1       # monotonicity
     assert len(checkers.schedule_hooks) == 1    # monotonicity
-    assert len(checkers.message_hooks) == 2     # conservation + determinism
+    assert len(checkers.message_hooks) == 1     # conservation
     assert len(checkers.transition_hooks) == 1  # coherence
     assert len(checkers.arq_checkers) == 1      # exactly-once
+    # The digest is fed directly, not through a hook.
+    assert isinstance(checkers.determinism, DeterminismChecker)

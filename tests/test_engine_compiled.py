@@ -20,18 +20,20 @@ Two batteries:
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
 
 import pytest
 
+from repro.checkers import DeterminismChecker
 from repro.core.runner import simulate_spec
 from repro.engine import make_simulator, resolve_kernel
 from repro.engine.compiled import HAVE_EXTENSION, CompiledSimulator
 from repro.engine.core import Simulator
 from repro.engine.soa import SoaSimulator
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, SimulationError
 from repro.network.link import Link
 from repro.runspec import RunSpec
 
@@ -385,6 +387,80 @@ def test_compiled_profile_reports_extension():
     profile = sim.engine_profile()
     assert profile["kernel"] == "compiled"
     assert profile["extension_loaded"] == 1
+
+
+# -- compiled tier: the native digest feed ------------------------------------
+#
+# The C loop buffers event times and hands them over on every exit path;
+# these pin the exits the end-to-end parity matrix never takes.
+
+#: How a digest scenario ends: drained, a process raising, a deadlock,
+#: and a sleep past the C loop's int64 key budget (Python finishes it).
+DIGEST_EXITS = ("drained", "crash", "deadlock", "handoff")
+
+
+def _digest_exit_scenario(cls, exit_kind):
+    """Run flat transmits and sleepers to the given exit; return the
+    simulator (its ``state_digest()`` must be exact whatever happened)."""
+    sim = cls(checkers=(DeterminismChecker(),))
+    fabric = _FakeFabric()
+    path = tuple(Link(sim, i, i + 1) for i in range(2))
+    never = sim.event()
+
+    def worker():
+        for _ in range(40):
+            yield 3
+            sim.flat_transmit(fabric, ((path, 16, 20),))
+        if exit_kind == "crash":
+            raise ValueError("boom")
+        if exit_kind == "deadlock":
+            yield never
+        if exit_kind == "handoff":
+            yield 2 ** 40
+            yield 5
+
+    sim.spawn(worker(), name="worker")
+    error = {"crash": SimulationError, "deadlock": DeadlockError}.get(
+        exit_kind
+    )
+    if error is None:
+        sim.run()
+    else:
+        with pytest.raises(error):
+            sim.run()
+    return sim
+
+
+@needs_extension
+@pytest.mark.parametrize("exit_kind", DIGEST_EXITS)
+def test_compiled_digest_is_exact_on_every_exit_path(exit_kind):
+    ref = _digest_exit_scenario(SoaSimulator, exit_kind)
+    sim = _digest_exit_scenario(CompiledSimulator, exit_kind)
+    assert sim.events_executed == ref.events_executed > 100
+    assert sim.state_digest() == ref.state_digest()
+    # ... and it differs from the digest of any other ending.
+    other = "drained" if exit_kind != "drained" else "handoff"
+    assert sim.state_digest() != _digest_exit_scenario(
+        CompiledSimulator, other
+    ).state_digest()
+
+
+@needs_extension
+def test_compiled_digest_runs_do_not_leak():
+    """Every exit path balances its references: repeated digest runs
+    keep the interpreter's allocated-block count flat."""
+    def cycle():
+        for exit_kind in DIGEST_EXITS:
+            _digest_exit_scenario(CompiledSimulator, exit_kind)
+        gc.collect()
+        return sys.getallocatedblocks()
+
+    for _ in range(3):  # warm caches, interned ints, type slots
+        cycle()
+    before = cycle()
+    for _ in range(20):
+        after = cycle()
+    assert after - before < 20, (before, after)
 
 
 # -- compiled tier: selection -------------------------------------------------

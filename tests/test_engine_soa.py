@@ -230,11 +230,26 @@ def test_unknown_kernel_rejected():
         resolve_kernel("vectorized")
 
 
-def test_digest_forces_object_kernel(monkeypatch, quick_spec):
+def test_digest_runs_on_the_selected_kernel(monkeypatch, quick_spec):
+    """The digest is fed natively: asking for it changes neither the
+    kernel nor the path (misses stay flat programs)."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    result = simulate_spec(quick_spec(digest=True))
-    assert result.engine["kernel"] == "object"
-    assert result.check_report is not None
+    kernels = ("soa", "compiled") if HAVE_EXTENSION else ("soa",)
+    digests = set()
+    for kernel in kernels:
+        plain = simulate_spec(quick_spec(engine_kernel=kernel, check="off"))
+        digested = simulate_spec(
+            quick_spec(engine_kernel=kernel, check="off", digest=True)
+        )
+        assert digested.engine["kernel"] == kernel
+        assert digested.engine["flat_tx"] == plain.engine["flat_tx"] > 0
+        assert digested.engine["flat_posts"] == plain.engine["flat_posts"]
+        assert digested.engine == plain.engine
+        digests.add(digested.check_report.digest)
+    auto = simulate_spec(quick_spec(check="off", digest=True))
+    assert auto.engine["kernel"] == resolve_kernel("auto")
+    digests.add(auto.check_report.digest)
+    assert len(digests) == 1 and None not in digests
 
 
 def test_soa_refuses_engine_hooks():

@@ -141,6 +141,36 @@ def test_foreign_schema_entry_is_a_plain_miss(tmp_path):
     assert entry.exists()  # not moved aside
 
 
+def test_schema_2_digest_entry_is_resimulated(tmp_path, counted_simulate):
+    """Schema 3 redefined ``check_report.digest``: a warm store holding
+    a valid schema-2 entry (old-definition digest) must not answer a
+    ``digest=True`` spec -- it is a plain miss, then overwritten."""
+    from repro.core.runner import simulate_spec
+    from repro.exec.store import entry_checksum
+
+    spec = quick_spec(digest=True)
+    current = simulate_spec(spec).check_report.digest
+    ResultStore(tmp_path).put(spec, simulate_spec(spec))
+    digest = spec.spec_digest()
+    entry = tmp_path / digest[:2] / f"{digest}.json"
+    payload = json.loads(entry.read_text())
+    payload["schema"] = 2
+    payload["result"]["check_report"]["digest"] = "0" * 32
+    payload["checksum"] = entry_checksum(payload)  # valid, as schema 2 wrote it
+    entry.write_text(json.dumps(payload))
+
+    counted_simulate["count"] = 0
+    with SweepRunner(preset="quick", cache_dir=tmp_path) as runner:
+        runner.run_batch([spec])
+        outcome = runner.outcome_of(spec)
+        assert runner.store.misses == 1 and runner.store.quarantined == 0
+    assert counted_simulate["count"] == 1
+    assert outcome.check_report.digest == current
+    rewritten = json.loads(entry.read_text())
+    assert rewritten["schema"] == STORE_SCHEMA == 3
+    assert rewritten["result"]["check_report"]["digest"] == current
+
+
 # -- integrity audit: checksums, verify, repair -------------------------------------
 
 
