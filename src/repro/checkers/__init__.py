@@ -4,21 +4,22 @@ The paper's whole argument rests on trusting the simulator, so the
 machines can run with a set of passive *checkers* that verify global
 invariants while the simulation executes -- coherence SWMR, overhead
 conservation, event-time monotonicity, determinism digests, and
-exactly-once ARQ delivery.  See :mod:`repro.checkers.base` for the hook
-architecture.
+exactly-once ARQ delivery.  See :mod:`repro.checkers.base` for how they
+observe a run (one kernel-independent record stream plus model hooks).
 
 Enable via ``SystemConfig(check="basic"|"strict")`` (CLI ``--check``),
 or attach just the determinism digest with ``SystemConfig(digest=True)``
 (CLI ``--digest``).  With ``check="off"`` no checker is constructed and
-every hook site reduces to a single falsy branch, keeping unchecked
-runs bit-identical to (and within noise of) pre-sanitizer behaviour.
+every observation site reduces to a single falsy branch, keeping
+unchecked runs bit-identical to (and within noise of) pre-sanitizer
+behaviour.  At every level the run executes on the selected kernel.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .base import CHECK_LEVELS, Checker, CheckerResult, CheckerSet, CheckReport
+from .base import CHECK_LEVELS, Checker, CheckerResult, CheckerSet, CheckReport, RecordStream
 from .coherence import CoherenceChecker
 from .conservation import ConservationChecker
 from .determinism import DeterminismChecker
@@ -36,6 +37,7 @@ __all__ = [
     "DeterminismChecker",
     "ExactlyOnceChecker",
     "MonotonicityChecker",
+    "RecordStream",
     "make_checkers",
 ]
 
@@ -43,8 +45,8 @@ __all__ = [
 def make_checkers(config) -> Optional[CheckerSet]:
     """Build the checker set a :class:`~repro.config.SystemConfig` asks for.
 
-    Returns None when nothing is enabled, so machines and hook sites can
-    skip every sanitizer branch on the fast path.
+    Returns None when nothing is enabled, so machines and observation
+    sites can skip every sanitizer branch on the fast path.
 
     * ``basic``: per-block coherence checks, monotonicity, conservation,
       exactly-once ARQ accounting.
@@ -52,8 +54,7 @@ def make_checkers(config) -> Optional[CheckerSet]:
       transition and the determinism digest.
     * ``digest=True`` attaches the determinism checker at any level,
       including ``off`` (observation only -- the digest never perturbs
-      the run, and being fed natively by every kernel it does not
-      select the object kernel the way the hooked levels do).
+      the run).
     """
     level = config.check
     checkers = []

@@ -6,20 +6,32 @@ buckets conserve time, the event heap never regresses, equal seeds give
 equal executions, ARQ recovery delivers exactly once.  A *checker* is a
 passive observer that verifies one such invariant at runtime.  Checkers
 never schedule events, never draw randomness and never mutate simulator
-state, so an instrumented run is bit-identical to an unchecked one; the
-only cost is the observation itself.
+state, so a checked run is bit-identical to an unchecked one; the only
+cost is the observation itself.
 
-Hook points
------------
-Checkers override any subset of the no-op hooks on :class:`Checker`:
+Observation points
+------------------
+*The record stream* (:class:`RecordStream`) is the one engine- and
+network-level channel.  Every kernel's run loop reports the simulated
+time of each executed event to it and every message-completion site
+(fabric transfers, the kernels' flat settle sites, the LogP network)
+reports ``(completion time, src, dst, nbytes, delivered)``.  The stream
+buffers event times and hands them on a block at a time, so the compiled
+loop can collect them without entering the interpreter.  A checker
+consumes the stream by defining either or both of
 
-``on_event(at, seq, action)``
-    one engine scheduler step is about to execute (engine level),
-``on_schedule(at, now)``
-    an action was scheduled for simulated time ``at`` while the clock
-    reads ``now`` (engine level),
-``on_message(now, src, dst, kind, nbytes, delivered)``
-    one network message finished transport (fabric and LogP network),
+``event_times(block)``
+    one ``array('q')`` block of executed-event times, in execution order,
+``message(now, src, dst, nbytes, delivered)``
+    one network message finished transport.
+
+The records name only what every kernel knows, so attaching a consumer
+neither selects a kernel nor takes the fabric off its plain path: a
+checked run executes exactly the code an unchecked one does.
+
+*Model hooks* are the no-op methods on :class:`Checker` that the machine
+models call:
+
 ``on_transition(memory, pid, block, now)``
     a coherence state transition touched ``block`` (cached machines),
 ``on_logical_send / on_app_delivery / on_logical_complete``
@@ -28,24 +40,19 @@ Checkers override any subset of the no-op hooks on :class:`Checker`:
     the run completed; end-of-run invariants go here.
 
 :class:`CheckerSet` groups the active checkers and pre-resolves, per
-hook, the subset that actually overrides it -- hook sites hold a tuple
-that is empty (and therefore falsy, one branch) when no checker cares.
+model hook, the subset that actually overrides it -- hook sites hold a
+tuple that is empty (and therefore falsy, one branch) when no checker
+cares.
 
-The determinism digest (:mod:`repro.checkers.determinism`) is fed
-outside this hook protocol: every kernel's event loop and every
-message-completion site hands it kernel-independent records directly,
-so attaching it neither selects the object kernel (only ``on_event`` /
-``on_schedule`` hooks do) nor takes the fabric off its plain path (only
-``on_message`` hooks do).
-
-A violated invariant raises :class:`~repro.errors.InvariantError`
-immediately, carrying the checker name, the simulated time, and the
-offending state.  A clean run aggregates per-checker statistics into a
+A violated invariant raises :class:`~repro.errors.InvariantError` when
+it is observed (event times: when their block is handed over), carrying
+the checker name, the simulated time, and the offending state.  A clean run aggregates per-checker statistics into a
 :class:`CheckReport` embedded in run results and sweep checkpoints.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -76,16 +83,6 @@ class Checker:
         raise InvariantError(self.name, now, detail)
 
     # -- hooks (all optional) -----------------------------------------------
-
-    def on_event(self, at: int, seq: int, action) -> None:
-        """One engine scheduler step about to execute."""
-
-    def on_schedule(self, at: int, now: int) -> None:
-        """An action was scheduled at ``at`` while the clock reads ``now``."""
-
-    def on_message(self, now: int, src: int, dst: int, kind: str,
-                   nbytes: int, delivered: bool) -> None:
-        """One network message finished transport."""
 
     def on_transition(self, memory, pid: int, block: int, now: int) -> None:
         """A coherence transition touched ``block``."""
@@ -188,41 +185,111 @@ def _overrides(checker: Checker, hook: str) -> bool:
     return getattr(type(checker), hook, base) is not base
 
 
-def hook_methods(checkers: Sequence[Checker], hook: str) -> tuple:
-    """The bound ``hook`` methods of the checkers that override it.
+#: Pending event times are handed to the consumers once this many are
+#: buffered, which bounds the stream's memory whatever the run length.
+FLUSH_RECORDS = 1 << 13
 
-    Shared by :class:`CheckerSet`, the object kernel (which dispatches
-    ``on_event`` / ``on_schedule``) and kernel selection: a checker
-    overriding either of those two is what makes
-    :func:`repro.engine.make_simulator` pick the object kernel.
+
+class RecordStream:
+    """Owner of the record stream of one simulator (see module docstring).
+
+    The simulator holds it (``sim._stream``, None when no attached
+    checker consumes records) and the network models take their sink
+    from there, so the kernels and the message-completion sites feed
+    one stream.  Feeders call :meth:`event` (the Python run loops, one
+    time per executed event), :meth:`feed_times` (the compiled loop's
+    buffer) and :meth:`message`; :meth:`flush` hands over what is still
+    pending, after which every consumer's ``checks`` count is exact.
     """
-    return tuple(
-        getattr(checker, hook) for checker in checkers
-        if _overrides(checker, hook)
-    )
 
+    def __init__(self, checkers: Sequence[Checker]):
+        self._times: List[int] = []
+        self._time_sinks = tuple(
+            c.event_times for c in checkers if hasattr(c, "event_times")
+        )
+        self._message_sinks = tuple(
+            c.message for c in checkers if hasattr(c, "message")
+        )
+        #: ``message(now, src, dst, nbytes, delivered)``: one network
+        #: message finished transport at ``now``.  A sole consumer
+        #: (digest-only and ``basic`` runs) is called directly.
+        self.message = (
+            self._message_sinks[0] if len(self._message_sinks) == 1
+            else self._fan_out
+        )
+        self._hasher = next(
+            (c for c in checkers if hasattr(c, "state_digest")), None
+        )
 
-def find_determinism(checkers: Sequence[Checker]) -> Optional[Checker]:
-    """The determinism-digest checker (the one exposing
-    ``state_digest``) among ``checkers``, or None."""
-    return next((c for c in checkers if hasattr(c, "state_digest")), None)
+    @classmethod
+    def of(cls, checkers: Sequence[Checker]) -> Optional["RecordStream"]:
+        """A stream feeding the record consumers among ``checkers``, or
+        None when there are none (feeders then pay one ``None`` test)."""
+        stream = cls(checkers)
+        if stream._time_sinks or stream._message_sinks:
+            return stream
+        return None
+
+    def event(self, at: int) -> None:
+        """One engine event executed at simulated time ``at``."""
+        times = self._times
+        times.append(at)
+        if len(times) >= FLUSH_RECORDS:
+            self.flush()
+
+    def feed_times(self, raw: bytes) -> None:
+        """Event records straight from the compiled loop's buffer:
+        ``raw`` holds one native int64 time per executed event."""
+        self.flush()
+        block = array("q")
+        block.frombytes(raw)
+        self._emit(block)
+
+    def _fan_out(self, now: int, src: int, dst: int, nbytes: int,
+                 delivered: bool) -> None:
+        for sink in self._message_sinks:
+            sink(now, src, dst, nbytes, delivered)
+
+    def flush(self) -> None:
+        """Hand the pending event times to the consumers."""
+        times = self._times
+        if times:
+            block = array("q", times)
+            # Emptied first: a consumer that raises must not see the
+            # block again on the next flush.
+            del times[:]
+            self._emit(block)
+
+    def _emit(self, block: array) -> None:
+        for sink in self._time_sinks:
+            sink(block)
+
+    def state_digest(self) -> Optional[str]:
+        """Digest of everything fed so far, or None when no consumer
+        hashes the stream."""
+        self.flush()
+        if self._hasher is None:
+            return None
+        return self._hasher.state_digest()
 
 
 class CheckerSet:
     """The active checkers of one machine, with per-hook dispatch lists.
 
-    Hook sites store the relevant tuple directly (e.g. the fabric keeps
-    ``checkers.message_hooks``); with no interested checker the tuple is
-    empty and the site pays a single truthiness branch.
+    Model hook sites store the relevant tuple directly (e.g. the
+    coherent memory keeps ``checkers.transition_hooks``); with no
+    interested checker the tuple is empty and the site pays a single
+    truthiness branch.  The record consumers among the checkers are fed
+    by the simulator's :class:`RecordStream`, not from here.
     """
 
     def __init__(self, level: str, checkers: Sequence[Checker]):
         self.level = level
         self.checkers = tuple(checkers)
-        self.event_hooks = hook_methods(self.checkers, "on_event")
-        self.schedule_hooks = hook_methods(self.checkers, "on_schedule")
-        self.message_hooks = hook_methods(self.checkers, "on_message")
-        self.transition_hooks = hook_methods(self.checkers, "on_transition")
+        self.transition_hooks = tuple(
+            c.on_transition for c in self.checkers
+            if _overrides(c, "on_transition")
+        )
         #: Checkers that follow the ARQ logical-message lifecycle.
         self.arq_checkers = tuple(
             c for c in self.checkers
@@ -230,10 +297,6 @@ class CheckerSet:
             or _overrides(c, "on_app_delivery")
             or _overrides(c, "on_logical_complete")
         )
-        #: The determinism-digest checker, or None.  It installs no
-        #: hook: the simulator holds it too, and the kernels and
-        #: message-completion sites feed it directly.
-        self.determinism = find_determinism(self.checkers)
 
     def __bool__(self) -> bool:
         return bool(self.checkers)
@@ -241,21 +304,19 @@ class CheckerSet:
     def __iter__(self):
         return iter(self.checkers)
 
-    def state_digest(self) -> Optional[str]:
-        """Digest from the attached determinism checker, if any."""
-        if self.determinism is None:
-            return None
-        return self.determinism.state_digest()
-
     def finalize(self, machine) -> CheckReport:
         """Run end-of-run checks and aggregate the report.
 
-        :raises InvariantError: an end-of-run invariant is violated.
+        :raises InvariantError: an invariant is violated -- by a record
+            still pending in the stream, or at end of run.
         """
+        stream = machine.sim._stream
+        if stream is not None:
+            stream.flush()
         for checker in self.checkers:
             checker.finalize(machine)
         return CheckReport(
             level=self.level,
             results=[checker.result() for checker in self.checkers],
-            digest=self.state_digest(),
+            digest=machine.sim.state_digest(),
         )

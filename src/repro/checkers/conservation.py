@@ -42,8 +42,9 @@ class ConservationChecker(Checker):
         self.delivered = 0
         self.undelivered = 0
 
-    def on_message(self, now: int, src: int, dst: int, kind: str,
-                   nbytes: int, delivered: bool) -> None:
+    def message(self, now: int, src: int, dst: int, nbytes: int,
+                delivered: bool) -> None:
+        """Record-stream consumer: one transport completed."""
         self.checks += 1
         self.sends += 1
         if delivered:

@@ -515,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply g only between identical event types")
     p_run.add_argument("--engine", choices=ENGINE_KERNELS, default=None,
                        help="event-kernel selection: soa (fast "
-                            "struct-of-arrays core), object (fallback "
-                            "and hooked path), or auto (default: "
+                            "struct-of-arrays core), object (the "
+                            "reference kernel), or auto (default: "
                             "REPRO_ENGINE, else soa)")
     p_run.add_argument("--profile-engine", action="store_true",
                        help="print the engine's internal activity "

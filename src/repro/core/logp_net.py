@@ -18,7 +18,7 @@ are gated independently.
 Stalls are the model's *contention* estimate; the ``L`` terms are its
 *latency* estimate.  The gate bookkeeping is pure integer arithmetic in
 one function, :meth:`LogPNetwork.one_way_ns` (plain, adaptive-``g``,
-sanitizer-hooked and fault-injected messages all take it): the machines
+sanitized and fault-injected messages all take it): the machines
 get back plain ints ``(total, stall, retry)``, build no object and
 sleep once.  :class:`Trip` is the public, named form of the same
 numbers, built only by :meth:`~LogPNetwork.one_way` and
@@ -88,16 +88,13 @@ class LogPNetwork:
         self.per_event_type = per_event_type
         self.adaptive = adaptive and topology is not None
         self.topology = topology
-        #: Sanitizer hooks (empty tuples when unchecked).
-        self._message_hooks = (
-            checkers.message_hooks if checkers is not None else ()
-        )
+        #: Sanitizer ARQ-lifecycle observers (empty when unchecked).
         self._arq_checkers = (
             checkers.arq_checkers if checkers is not None else ()
         )
-        #: Determinism-digest record sink (None without a digest).
-        digest = sim._determinism
-        self._digest_message = digest.message if digest is not None else None
+        #: Message sink of the sanitizer's record stream, or None.
+        stream = sim._stream
+        self._record_message = stream.message if stream is not None else None
         #: Optional :class:`~repro.faults.injector.FaultInjector`; when
         #: set, every message goes through the reliable-delivery loop
         #: of :meth:`one_way_ns` (see there).
@@ -182,8 +179,7 @@ class LogPNetwork:
         """
         injector = self.injector
         faulty = injector is not None
-        hooks = self._message_hooks
-        record = self._digest_message
+        record = self._record_message
         send_gate = self._send_gate
         recv_gate = self._recv_gate
         L = self._L_ns
@@ -225,8 +221,6 @@ class LogPNetwork:
             else:
                 # Lost in the network: the sender times out.
                 failure_at = sent + L
-            for hook in hooks:
-                hook(failure_at, src, dst, "logp", 0, intact)
             if record is not None:
                 record(failure_at, src, dst, 0, intact)
             if intact:
@@ -243,8 +237,6 @@ class LogPNetwork:
                 ack_fate = injector.fate(dst, src, received, check_route=True)
                 failure_at = received + L
                 self.messages += 1
-                for hook in hooks:
-                    hook(failure_at, dst, src, "ack", 0, ack_fate.delivered)
                 if record is not None:
                     record(failure_at, dst, src, 0, ack_fate.delivered)
                 if ack_fate.delivered:

@@ -130,14 +130,10 @@ class Machine(ABC):
         #: no digest was requested -- the None case takes the exact
         #: unchecked code paths (see :mod:`repro.checkers`).
         self.checkers = make_checkers(config)
-        # Kernel selection honours config.engine_kernel / REPRO_ENGINE;
-        # whenever checkers attach on_event / on_schedule hooks the
-        # factory falls back to the object kernel so they see real
-        # (time, seq) actions (see repro.engine.make_simulator).  The
-        # determinism digest alone does not: every kernel feeds it.
+        # Kernel selection honours config.engine_kernel / REPRO_ENGINE
+        # at every check level (see repro.engine.make_simulator).
         self.sim = make_simulator(
-            checkers=self.checkers.checkers if self.checkers else (),
-            kernel=config.engine_kernel,
+            checkers=self.checkers or (), kernel=config.engine_kernel
         )
         self.topology: Topology = make_topology(config.topology, config.processors)
         self.space = AddressSpace(config.processors, config.block_bytes)

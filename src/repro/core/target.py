@@ -45,7 +45,6 @@ class TargetMachine(Machine):
             self.sim, self.topology, config.link_ns_per_byte,
             switch_delay_ns=config.switch_delay_ns,
             injector=self.fault_injector,
-            checkers=self.checkers,
         )
         if self.fault_injector is not None:
             self.reliable = ReliableTransport(
@@ -79,7 +78,7 @@ class TargetMachine(Machine):
         self._data_ns = self._data * self.fabric.ns_per_byte
         # One generator transaction serves every fabric; only the
         # per-message transfer differs.  A plain fabric (fault-free,
-        # hook-free, zero switching delay) moves messages through the
+        # zero switching delay) moves messages through the
         # Message-free ``transmit_fast``; anything else pays for the
         # full Message transfer.
         self._net_lat = self._lat_general
@@ -150,13 +149,13 @@ class TargetMachine(Machine):
         # Returns the fabric's Message-free generator directly -- one
         # message transfer with no Message, no TransferResult, and no
         # wrapper frame.  ``pid`` and ``kind`` are unused: the plain
-        # fabric has no retry banking and no message hooks.
+        # fabric has no retry banking and builds no Message.
         return self.fabric.transmit_fast(src, dst, nbytes)
 
     def _lat_general(self, pid: int, src: int, dst: int, nbytes: int,
                      kind: str):
         """Generator twin of :meth:`_lat_fast` for the general fabric
-        (faults, hooks, or switching delay): full Message transfer,
+        (faults or switching delay): full Message transfer,
         returning only the latency split the transactions charge."""
         result = yield from self._net_transmit(
             pid, Message(src, dst, nbytes, kind)

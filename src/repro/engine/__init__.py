@@ -5,10 +5,9 @@ library the paper's SPASM simulator was built on.  It provides:
 
 * :class:`~repro.engine.core.Simulator` -- the event loop with an
   integer-nanosecond clock (the *object* kernel: one heap-only loop,
-  the hookable reference every other kernel is checked against),
+  the reference every other kernel is checked against),
 * :class:`~repro.engine.soa.SoaSimulator` -- the struct-of-arrays
-  kernel, the default fast path (it feeds the determinism digest but
-  hosts no ``on_event`` / ``on_schedule`` hooks),
+  kernel, the default fast path,
 * :func:`make_simulator` -- the kernel-selecting factory machines use,
 * :class:`~repro.engine.core.Process` -- simulated processes written as
   Python generators that ``yield`` events,
@@ -22,7 +21,6 @@ library the paper's SPASM simulator was built on.  It provides:
 import os
 import warnings
 
-from ..checkers.base import hook_methods
 from .compiled import HAVE_EXTENSION, CompiledSimulator
 from .core import TURN, Acquirable, Event, Process, Simulator, Timeout, all_of
 from .resource import Resource
@@ -69,25 +67,19 @@ def resolve_kernel(kernel: str = "auto") -> str:
 
 def make_simulator(checkers=(), kernel: str = "auto",
                    fail_fast: bool = True) -> Simulator:
-    """Build a simulator on the selected kernel.
+    """Build a simulator on the kernel the knob selects.
 
-    The *object-path-for-hooks invariant* lives here: whenever any
-    attached checker overrides an engine-level hook (``on_event`` /
-    ``on_schedule`` -- ``--check basic|strict``), the object kernel is
-    used regardless of the knob, so those hooks always observe real
-    ``(time, seq, action)`` triples.  The determinism digest is not
-    such a hook (every kernel feeds it natively), so ``digest=True``
-    alone runs on the selected kernel.  All kernels execute identical
-    event sequences, so flipping the knob never changes results or
-    digests -- only host time.
+    All kernels execute identical event sequences and feed the
+    sanitizer's record stream the same records, so flipping the knob
+    never changes results, digests or per-checker counts -- only host
+    time.
     """
-    resolved = resolve_kernel(kernel)
-    if (resolved == "object" or hook_methods(checkers, "on_event")
-            or hook_methods(checkers, "on_schedule")):
-        return Simulator(fail_fast=fail_fast, checkers=checkers)
-    if resolved == "compiled":
-        return CompiledSimulator(fail_fast=fail_fast, checkers=checkers)
-    return SoaSimulator(fail_fast=fail_fast, checkers=checkers)
+    cls = {
+        "object": Simulator,
+        "soa": SoaSimulator,
+        "compiled": CompiledSimulator,
+    }[resolve_kernel(kernel)]
+    return cls(fail_fast=fail_fast, checkers=checkers)
 
 
 __all__ = [

@@ -56,14 +56,14 @@
  *    delegated to the bound Python methods (`_execute_word`,
  *    `_handle_yield`), which implement the slow cases with Python
  *    ints at the exact same queue positions.
- *  - The determinism digest (`sim._determinism`, see
- *    repro/checkers/determinism.py) is fed natively: the time of every
+ *  - The sanitizer's record stream (`sim._stream`, see
+ *    repro/checkers/base.py) is fed natively: the time of every
  *    executed event goes into a bounded C-side int64 buffer handed to
  *    `feed_times` when full and on every exit path (drained, handoff,
- *    error), so `state_digest()` is exact after any return; every leg
- *    settled here calls the checker's `message` at the position the
- *    Python settle sites do.  Without a digest the loop pays one
- *    NULL test per event.
+ *    error), so `state_digest()` and the consumers' counts are exact
+ *    after any return; every leg settled here calls the stream's
+ *    `message` at the position the Python settle sites do.  Without a
+ *    stream the loop pays one NULL test per event.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -112,7 +112,7 @@
  * the pure-Python kernel. */
 #define MAX_AT ((((int64_t)1) << (63 - ROW_BITS)) - 1)
 
-/* Event-time records buffered before they are handed to the digest. */
+/* Event-time records buffered before they are handed to the stream. */
 #define DIGEST_CAP 8192
 
 /* Injected by configure(): types/singletons from repro.engine.core. */
@@ -138,7 +138,7 @@ static PyObject *s_heap, *s_ring, *s_free, *s_c_meta, *s_payload,
     *s_sharing_writeback, *s_had_data, *s_writeback, *s_shwb,
     *s_flat_fail, *s_flat_wr_invs, *s_invalidated, *s_fast, *s_hit,
     *s_flat_posts, *s_flat_tx, *s_flat_mctx, *s_triggered,
-    *s_spawn_inv, *s_determinism, *s_feed_times, *s_message, *s_src,
+    *s_spawn_inv, *s_stream, *s_feed_times, *s_message, *s_src,
     *s_dst;
 
 /* -- small helpers ------------------------------------------------------- */
@@ -437,7 +437,7 @@ typedef struct {
     PyObject *flat_step_py;     /* bound _flat_step (fallback) */
     PyObject *flat_wake_py;     /* bound _flat_wake (odd tags) */
     PyObject *flat_wr_join_py;  /* bound _flat_wr_join */
-    PyObject *digest_message;   /* bound checker.message, or NULL */
+    PyObject *digest_message;   /* bound stream.message, or NULL */
     int64_t *ring_scheduled;
     int64_t *recycled;
     /* Fabric-counter write-behind: settle totals for the (single)
@@ -671,7 +671,7 @@ event_succeed_c(FlatCtx *fc, PyObject *shell, PyObject *value)
     return 0;
 }
 
-/* Hand the buffered event times to the digest (`feed_times` takes one
+/* Hand the buffered event times to the stream (`feed_times` takes one
  * native int64 per executed event).  The buffer is emptied even when
  * the call fails, so an error exit cannot feed a record twice. */
 static int
@@ -693,7 +693,7 @@ digest_flush(PyObject *digest, const int64_t *buf, Py_ssize_t *n)
     return 0;
 }
 
-/* The digest's record of one settled leg: `(now, first link's src,
+/* The stream's record of one settled leg: `(now, first link's src,
  * last link's dst, nbytes, delivered=True)` -- what the Python settle
  * sites pass.  `path` is a tuple of Links (empty raises, as `path[0]`
  * does there). */
@@ -1808,7 +1808,7 @@ csoa_run_fast(PyObject *module, PyObject *sim)
     PyObject *flat_ops = NULL, *flat_free = NULL, *flat_wr_join_m = NULL;
     PyObject *mctx = NULL, *mctx_trans = NULL;  /* borrowed from mctx */
     PyObject *digest = NULL, *digest_message = NULL;
-    int64_t *digest_buf = NULL;  /* NULL: no digest attached */
+    int64_t *digest_buf = NULL;  /* NULL: no stream attached */
     Py_ssize_t digest_n = 0;
     PyObject *result = NULL;
     FlatCtx fc = {0};
@@ -1884,7 +1884,7 @@ csoa_run_fast(PyObject *module, PyObject *sim)
         goto cleanup;
     if (PyTuple_CheckExact(mctx) && PyTuple_GET_SIZE(mctx) == 7)
         mctx_trans = PyTuple_GET_ITEM(mctx, 0);
-    digest = PyObject_GetAttr(sim, s_determinism);
+    digest = PyObject_GetAttr(sim, s_stream);
     if (digest == NULL)
         goto cleanup;
     if (digest != Py_None) {
@@ -2728,7 +2728,7 @@ PyInit__csoa(void)
     INTERN(s_flat_mctx, "_flat_mctx");
     INTERN(s_triggered, "triggered");
     INTERN(s_spawn_inv, "_spawn_inv");
-    INTERN(s_determinism, "_determinism");
+    INTERN(s_stream, "_stream");
     INTERN(s_feed_times, "feed_times");
     INTERN(s_message, "message");
     INTERN(s_src, "src");

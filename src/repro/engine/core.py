@@ -9,16 +9,14 @@ to a processor generator which delegates to cache/network generators.
 
 Design notes
 ------------
-* This module is the *object* kernel: the readable, hookable
-  specification of the engine.  It has exactly one run loop and one
-  scheduling primitive, and every faster kernel
-  (:mod:`repro.engine.soa`, the compiled tier) is checked against it
-  event for event.  It is also the slowest kernel; use
-  :func:`repro.engine.make_simulator` to select one.  Whenever
-  sanitizer checkers attach ``on_event`` / ``on_schedule`` hooks the
-  object kernel is used regardless, so hooks always observe real
-  ``(time, seq)`` actions.  The determinism digest is not such a hook:
-  every kernel feeds it the time of each executed event.
+* This module is the *object* kernel: the readable specification of
+  the engine.  It has exactly one run loop and one scheduling
+  primitive, and every faster kernel (:mod:`repro.engine.soa`, the
+  compiled tier) is checked against it event for event.  It is also
+  the slowest kernel; use :func:`repro.engine.make_simulator` to
+  select one.  Like every kernel it feeds the record stream
+  (:class:`~repro.checkers.base.RecordStream`) the time of each
+  executed event, which is all the sanitizer observes of an engine.
 * Time is an integer nanosecond count (see :mod:`repro.units`).
 * All pending work lives in one binary heap keyed by
   ``(time, sequence)`` so same-time events fire in schedule order --
@@ -41,7 +39,7 @@ Design notes
   kernel.  On this object kernel a free resource behaves exactly like
   the ``try_acquire`` + ``TURN`` pair and a busy one exactly like
   yielding ``request()`` -- same scheduled actions, same ``(time,
-  seq)`` positions, so instrumented digests are unchanged.  The
+  seq)`` positions.  The
   struct-of-arrays kernel instead parks the process as a packed
   integer in the resource's waiter queue, which is why the call sites
   moved to this form.
@@ -53,7 +51,7 @@ import heapq
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from ..checkers.base import find_determinism, hook_methods
+from ..checkers.base import RecordStream
 from ..errors import DeadlockError, ReproError, SimulationError, WatchdogError
 
 #: Type alias for simulated-process generators.
@@ -319,9 +317,7 @@ class Process(Event):
         if isinstance(target, Acquirable):
             # Kernel-resolved resource grant (``yield resource``).  A
             # free resource behaves exactly like the try_acquire + TURN
-            # pair; a busy one exactly like yielding ``request()`` --
-            # the scheduled actions (and thus instrumented digests) are
-            # identical to the old call-site spelling.
+            # pair; a busy one exactly like yielding ``request()``.
             if target.try_acquire():
                 sim._schedule(sim._now, self._resume_zero)
             else:
@@ -379,20 +375,12 @@ class Simulator:
         #: "speed of simulation" comparison is about event counts.
         self.events_executed = 0
         self._processes_spawned = 0
-        #: Sanitizer checkers observing this engine (see
-        #: :mod:`repro.checkers`).  Only their engine-level hooks are
-        #: dispatched here; machine models wire the rest.
-        self.checkers = tuple(checkers)
-        self._event_hooks = hook_methods(self.checkers, "on_event")
-        self._schedule_hooks = hook_methods(self.checkers, "on_schedule")
-        #: The determinism checker, or None.  Every run loop feeds it
-        #: the time of each executed event; the compiled loop reads
-        #: this attribute by name.
-        self._determinism = find_determinism(self.checkers)
-        #: True when engine-level hooks are attached; kernel selection
-        #: (:func:`repro.engine.make_simulator`) then keeps this object
-        #: kernel, the only one that feeds hooks.
-        self._instrumented = bool(self._event_hooks or self._schedule_hooks)
+        #: The record stream feeding the sanitizer checkers that
+        #: consume records (see :mod:`repro.checkers.base`), or None.
+        #: Every run loop feeds it the time of each executed event and
+        #: the network models take their message sink from it; the
+        #: compiled loop reads this attribute by name.
+        self._stream = RecordStream.of(checkers)
 
     def state_digest(self) -> Optional[str]:
         """Rolling execution digest, or None without a determinism checker.
@@ -400,9 +388,9 @@ class Simulator:
         Two runs of the same seed and configuration must return the same
         value -- the property the golden-digest regression tests gate.
         """
-        if self._determinism is None:
+        if self._stream is None:
             return None
-        return self._determinism.state_digest()
+        return self._stream.state_digest()
 
     def engine_profile(self) -> Dict[str, Any]:
         """Snapshot of the engine's internal activity counters.
@@ -426,7 +414,6 @@ class Simulator:
             "flat_posts": 0,
             "flat_tx": 0,
             "processes_spawned": self._processes_spawned,
-            "instrumented": int(self._instrumented),
         }
 
     # -- clock --------------------------------------------------------------
@@ -440,9 +427,7 @@ class Simulator:
 
     def _schedule(self, at: int, action: Callable[[], None]) -> None:
         # Every action goes through the heap with a real sequence
-        # number -- the ``(time, seq)`` pair hooks observe.
-        for hook in self._schedule_hooks:
-            hook(at, self._now)
+        # number: same-time actions run in schedule order.
         self._sequence += 1
         heapq.heappush(self._queue, (at, self._sequence, action))
 
@@ -485,11 +470,10 @@ class Simulator:
         """
         until = self._check_run_args(until, max_events, until_ns)
         queue = self._queue
-        event_hooks = self._event_hooks
-        digest = self._determinism
+        stream = self._stream
         executed = 0
         while queue:
-            at, seq, action = queue[0]
+            at, _seq, action = queue[0]
             if until is not None and at > until:
                 self._now = until
                 return self._now
@@ -505,10 +489,8 @@ class Simulator:
             self._now = at
             self.events_executed += 1
             executed += 1
-            if digest is not None:
-                digest.event(at)
-            for hook in event_hooks:
-                hook(at, seq, action)
+            if stream is not None:
+                stream.event(at)
             action()
         if until is None and self._blocked > 0:
             raise DeadlockError(self._blocked, self._now)

@@ -2,8 +2,8 @@
 
 The object kernel in :mod:`repro.engine.core` is the reference: one
 heap of ``(time, seq, action)`` tuples, a ``functools.partial`` per
-resumption, a ``Process._step`` frame per yield -- readable and
-hookable, at a few microseconds of host time per simulated event.
+resumption, a ``Process._step`` frame per yield -- readable, at a few
+microseconds of host time per simulated event.
 This module replaces the storage and the loop while keeping the
 executed *event sequence* bit-identical to it:
 
@@ -72,15 +72,13 @@ Direct generator drive
 
 Kernel selection (see :func:`repro.engine.make_simulator`): the SoA
 kernel is the default engine; ``REPRO_ENGINE=object`` or
-``SystemConfig.engine_kernel`` selects the reference kernel, and
-simulators whose checkers override ``on_event`` / ``on_schedule``
-*always* run it so those hooks observe real ``(time, seq)`` actions.
-Both kernels execute identical event sequences -- same ``sim_events``,
-same results -- and both feed the determinism digest the same records
-(the time of every executed event from the run loops, every settled
-flat leg from the two settle sites below), so a ``digest=True`` run
-stays on this kernel and must hash to the object kernel's value, which
-the parity tests pin.
+``SystemConfig.engine_kernel`` selects the reference kernel.  Both
+kernels execute identical event sequences -- same ``sim_events``, same
+results -- and both feed the record stream the same records (the time
+of every executed event from the run loops, every settled flat leg from
+the two settle sites below), so sanitized and digested runs stay on
+this kernel and must report the object kernel's digest and per-checker
+counts, which the parity tests pin.
 
 The loop is deliberately written in a compile-friendly style -- int
 words, flat branches on small int tags, no closures in the hot path --
@@ -196,9 +194,7 @@ class SoaSimulator(Simulator):
     The public API (``spawn`` / ``timeout`` / ``event`` / ``run`` /
     ``engine_profile``) is unchanged; only the internal event storage
     and the run loop differ.  Construct through
-    :func:`repro.engine.make_simulator`, which enforces the
-    object-path-for-hooks invariant (``on_event`` / ``on_schedule``
-    hooks are refused here; the determinism digest is fed natively).
+    :func:`repro.engine.make_simulator`.
     """
 
     kernel = "soa"
@@ -210,12 +206,6 @@ class SoaSimulator(Simulator):
     def __init__(self, fail_fast: bool = True, checkers=(),
                  row_capacity: int = DEFAULT_ROW_CAPACITY):
         super().__init__(fail_fast=fail_fast, checkers=checkers)
-        if self._instrumented:
-            raise SimulationError(
-                "the SoA kernel cannot host engine-level checker hooks; "
-                "instrumented simulators must run the object kernel "
-                "(use repro.engine.make_simulator)"
-            )
         if row_capacity < 8:
             row_capacity = 8
         cap = 1 << (row_capacity - 1).bit_length()  # power of two
@@ -552,9 +542,9 @@ class SoaSimulator(Simulator):
             fabric.bytes_transported += nbytes
             fabric.total_latency_ns += tx
             fabric.total_contention_ns += circuit - op[7]
-            digest = self._determinism
-            if digest is not None:
-                digest.message(now, path[0].src, path[-1].dst, nbytes, True)
+            stream = self._stream
+            if stream is not None:
+                stream.message(now, path[0].src, path[-1].dst, nbytes, True)
             legs = op[2]
             legidx = op[10] + 1
             if legidx < len(legs):
@@ -656,9 +646,9 @@ class SoaSimulator(Simulator):
         fabric.bytes_transported += nbytes
         fabric.total_latency_ns += tx
         fabric.total_contention_ns += circuit - op[7]
-        digest = self._determinism
-        if digest is not None:
-            digest.message(now, path[0].src, path[-1].dst, nbytes, True)
+        stream = self._stream
+        if stream is not None:
+            stream.message(now, path[0].src, path[-1].dst, nbytes, True)
         op[19] += tx
 
     def _flat_leg(self, opidx: int, op: list, src: int, dst: int,
@@ -1148,8 +1138,8 @@ class SoaSimulator(Simulator):
         ring_append = ring.append
         free_append = free.append
         free_pop = free.pop
-        digest = self._determinism
-        record = digest.event if digest is not None else None
+        stream = self._stream
+        record = stream.event if stream is not None else None
         now = self._now
         executed = 0
         ring_executed = 0
@@ -1412,7 +1402,7 @@ class SoaSimulator(Simulator):
         heap = self._heap
         ring = self._ring
         free = self._free
-        digest = self._determinism
+        stream = self._stream
         executed = 0
         now = self._now
         while True:
@@ -1436,18 +1426,20 @@ class SoaSimulator(Simulator):
                     self._now, executed, self._blocked,
                     len(heap) + len(ring)
                 )
+            if at < now:
+                # Only a heap row can be behind the clock.  Refused
+                # before it is counted or recorded: it never executes.
+                raise SimulationError(
+                    f"time went backwards: {at} < {now}"
+                )
             self.events_executed += 1
             executed += 1
-            if digest is not None:
-                digest.event(at)
+            if stream is not None:
+                stream.event(at)
             if use_ring:
                 self._ring_executed += 1
                 self._execute_word(ring.popleft())
             else:
-                if at < now:
-                    raise SimulationError(
-                        f"time went backwards: {at} < {now}"
-                    )
                 heapq.heappop(heap)
                 now = self._now = at
                 row = key & ROW_MASK

@@ -49,8 +49,11 @@ from ..runspec import RunSpec, canonical_json
 #: Version 2 added the per-entry content checksum.  Version 3 marks
 #: the redefinition of ``check_report.digest`` over the
 #: kernel-independent record stream (same layout, new meaning): an
-#: older entry must not answer a ``digest=True`` spec.
-STORE_SCHEMA = 3
+#: older entry must not answer a ``digest=True`` spec.  Version 4 marks
+#: checked runs executing on the selected kernel: an older
+#: ``check != off`` entry reports ``engine.kernel = "object"`` and a
+#: monotonicity count of events + schedules, which no fresh run produces.
+STORE_SCHEMA = 4
 
 #: Suffix given to corrupt entries moved out of the cache's way.
 QUARANTINE_SUFFIX = ".quarantined"

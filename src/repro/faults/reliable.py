@@ -57,8 +57,8 @@ class ReliableTransport:
         self.policy = policy
         self.ack_bytes = ack_bytes
         #: Sanitizer checkers observing the ARQ exchange lifecycle
-        #: (empty tuple when unchecked).  Raw fabric messages are
-        #: observed by the fabric itself; these hooks see the *logical*
+        #: (empty tuple when unchecked).  Raw fabric messages reach
+        #: the record stream from the fabric; these hooks see the *logical*
         #: send/accept/complete events the exactly-once invariant is
         #: stated over.
         self._arq_checkers = (

@@ -84,7 +84,7 @@ class Fabric:
     """The set of links of one topology plus the transfer protocol."""
 
     def __init__(self, sim: Simulator, topology: Topology, ns_per_byte: int,
-                 switch_delay_ns: int = 0, injector=None, checkers=None):
+                 switch_delay_ns: int = 0, injector=None):
         self.sim = sim
         self.topology = topology
         self.ns_per_byte = ns_per_byte
@@ -94,16 +94,11 @@ class Fabric:
         #: When None (the default) the fabric is perfectly reliable and
         #: follows the exact pre-fault code path.
         self.injector = injector
-        #: Sanitizer message hooks (empty tuple when unchecked).
-        self._message_hooks = (
-            checkers.message_hooks if checkers is not None else ()
-        )
-        #: Determinism-digest record sink (None without a digest): the
-        #: simulator's, so the kernel's flat settle sites and the
-        #: completion sites below feed one stream.  Not a hook -- the
-        #: plain sites feed it too, so a digest leaves ``is_plain`` alone.
-        digest = sim._determinism
-        self._digest_message = digest.message if digest is not None else None
+        #: Message sink of the sanitizer's record stream (None when
+        #: unchecked): the simulator's, so the kernel's flat settle
+        #: sites and the completion sites below feed one stream.
+        stream = sim._stream
+        self._record_message = stream.message if stream is not None else None
         self._links: Dict[LinkId, Link] = {
             link_id: Link(sim, *link_id) for link_id in topology.links()
         }
@@ -133,15 +128,11 @@ class Fabric:
                 link = self._links.get((window.src, window.dst))
                 if link is not None:
                     link.fail_windows = link.fail_windows + (window,)
-        #: True when the fabric is fault-free, free of ``on_message``
-        #: hooks and has zero switching delay, i.e.
-        #: ``transmit_fast``/``post_fast`` are valid.  Machines key
-        #: their own fast paths off this flag (see
+        #: True when the fabric is fault-free and has zero switching
+        #: delay, i.e. ``transmit_fast``/``post_fast`` are valid.
+        #: Machines key their own fast paths off this flag (see
         #: ``TargetMachine._net_lat``).
-        self.is_plain = (
-            injector is None and switch_delay_ns == 0
-            and not self._message_hooks
-        )
+        self.is_plain = injector is None and switch_delay_ns == 0
         #: Total messages transported.
         self.messages = 0
         #: Total payload bytes transported.
@@ -204,12 +195,8 @@ class Fabric:
                     upstream.release()
                 injector.window_drops += 1
                 self.messages += 1
-                if self._message_hooks:
-                    for hook in self._message_hooks:
-                        hook(sim.now, message.src, message.dst,
-                             message.kind, message.nbytes, False)
-                if self._digest_message is not None:
-                    self._digest_message(sim.now, message.src, message.dst,
+                if self._record_message is not None:
+                    self._record_message(sim.now, message.src, message.dst,
                                          message.nbytes, False)
                 return TransferResult(
                     latency_ns=0,
@@ -244,12 +231,8 @@ class Fabric:
         self.total_latency_ns += latency
         self.total_contention_ns += contention
         delivered = fate is None or fate.delivered
-        if self._message_hooks:
-            for hook in self._message_hooks:
-                hook(sim.now, message.src, message.dst,
-                     message.kind, message.nbytes, delivered)
-        if self._digest_message is not None:
-            self._digest_message(sim.now, message.src, message.dst,
+        if self._record_message is not None:
+            self._record_message(sim.now, message.src, message.dst,
                                  message.nbytes, delivered)
         return TransferResult(
             latency_ns=latency,
@@ -298,8 +281,8 @@ class Fabric:
         self.bytes_transported += nbytes
         self.total_latency_ns += transmit_ns
         self.total_contention_ns += circuit_done - start
-        if self._digest_message is not None:
-            self._digest_message(sim._now, src, dst, nbytes, True)
+        if self._record_message is not None:
+            self._record_message(sim._now, src, dst, nbytes, True)
         return transmit_ns
 
     def post_fast(self, src: int, dst: int, nbytes: int,

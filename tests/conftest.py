@@ -23,6 +23,8 @@ TINY_PARAMS = {
 ALL_APPS = tuple(sorted(TINY_PARAMS))
 ALL_MACHINES = ("target", "logp", "clogp", "ideal")
 ALL_TOPOLOGIES = ("full", "cube", "mesh")
+#: Every kernel this host can run (the compiled tier needs the extension).
+ALL_KERNELS = ("object", "soa") + (("compiled",) if HAVE_EXTENSION else ())
 
 
 def tiny_app(name: str, nprocs: int):

@@ -1,7 +1,7 @@
 """The runtime sanitizer: each checker fires on a seeded violation,
 clean runs report clean, and checking never perturbs the simulation."""
 
-import heapq
+from array import array
 
 import pytest
 
@@ -14,15 +14,20 @@ from repro.checkers import (
     DeterminismChecker,
     ExactlyOnceChecker,
     MonotonicityChecker,
+    RecordStream,
     make_checkers,
 )
+from repro.checkers.base import FLUSH_RECORDS
 from repro.core.accounting import RunResult
 from repro.core.coherence import CoherentMemory
+from repro.core.machine import Processor, make_machine
 from repro.core.runner import simulate_full
 from repro.engine.core import Simulator
 from repro.errors import InvariantError
 from repro.memory.address import AddressSpace
+from repro.memory.states import LineState
 
+from .conftest import ALL_KERNELS as KERNELS
 from .conftest import ALL_MACHINES, tiny_app, tiny_config
 
 FAULT = FaultConfig(drop_rate=0.05, corrupt_rate=0.02, delay_rate=0.05,
@@ -100,32 +105,36 @@ def test_coherence_checker_runs_on_cached_machines_only():
 # -- mutation tests: every checker fires on a seeded violation ----------------------
 
 
+def _feed_event(stream, times):
+    for at in times:
+        stream.event(at)
+    stream.flush()
+
+
+def _feed_times(stream, times):
+    stream.feed_times(array("q", times).tobytes())
+
+
 def test_monotonicity_checker_fires_on_past_schedule():
-    sim = Simulator(checkers=(MonotonicityChecker(),))
-    with pytest.raises(InvariantError, match="monotonicity"):
-        sim._schedule(-1, lambda: None)
-
-
-class _Action:
-    """Callable that tolerates heap tie-breaking comparisons."""
-
-    def __call__(self):
-        pass
-
-    def __lt__(self, _other):
-        return False
-
-
-def test_monotonicity_checker_fires_on_replayed_heap_entry():
-    checker = MonotonicityChecker()
-    sim = Simulator(checkers=(checker,))
-    # Two identical (time, sequence) keys cannot come from _schedule;
-    # seeding them directly simulates heap corruption.
-    action = _Action()
-    heapq.heappush(sim._queue, (0, 7, action))
-    heapq.heappush(sim._queue, (0, 7, action))
-    with pytest.raises(InvariantError, match="monotonicity"):
-        sim.run()
+    """The stream definition: executed-event times are >= 0 and never
+    decrease -- whichever entry point delivered them, and across the
+    boundary between two flushed blocks."""
+    for feed in (_feed_event, _feed_times):
+        for bad in ([0, 5, 5, 4], [-1, 0, 3]):
+            checker = MonotonicityChecker()
+            stream = RecordStream.of((checker,))
+            feed(stream, [0, 0, 2])  # a clean block passes
+            assert (checker.checks, checker.violations) == (3, 0)
+            with pytest.raises(InvariantError, match="monotonicity"):
+                feed(stream, bad)
+            assert checker.violations == 1
+        checker = MonotonicityChecker()
+        stream = RecordStream.of((checker,))
+        for _ in range(FLUSH_RECORDS):  # fills the buffer: flushed when full
+            stream.event(9)
+        assert checker.checks == FLUSH_RECORDS
+        with pytest.raises(InvariantError, match="regressed"):
+            feed(stream, [8])
 
 
 def _coherent_memory(check="basic"):
@@ -158,8 +167,6 @@ def test_coherence_checker_strict_sweeps_other_blocks():
 
 
 def test_coherence_checker_fires_on_swmr_violation():
-    from repro.memory.states import LineState
-
     memory, _ = _coherent_memory(check="basic")
     memory.plan_write(1, block=5)
     # Seed a second DIRTY copy: the canonical single-writer violation.
@@ -192,7 +199,7 @@ def test_conservation_checker_fires_on_silent_message_loss():
     _result, machine = simulate_full(tiny_app("ep", 2), "ideal", config)
     checker = ConservationChecker()
     # An undelivered message on a fault-free machine is a leak.
-    checker.on_message(0, 0, 1, "mp", 32, False)
+    checker.message(0, 0, 1, 32, False)
     with pytest.raises(InvariantError, match="fault-free"):
         checker.finalize(machine)
 
@@ -219,6 +226,128 @@ def test_exactly_once_checker_fires_on_incomplete_channel():
         checker.finalize(machine)  # delivered but never acked/completed
 
 
+# -- ... and fires on every kernel --------------------------------------------------
+#
+# The checkers observe the model (coherence, ARQ lifecycle, end-of-run
+# state) and the record stream every kernel feeds, never a kernel's
+# internals -- so a fault seeded by a process *mid-run* must surface
+# whichever run loop is executing, the C one included.
+
+DROPS = FaultConfig(drop_rate=0.05, seed=5)
+
+
+def _sabotaged(kernel, sabotage, late=False, **config_kw):
+    """A target machine on ``kernel`` loaded with a tiny FFT plus one
+    extra process that runs the ``sabotage(machine)`` generator halfway
+    through the run (``late``: after the last processor finished).
+    The caller runs and finalizes it."""
+    def build():
+        config = tiny_config(4, "mesh", engine_kernel=kernel, **config_kw)
+        machine = make_machine("target", config)
+        app = tiny_app("fft", 4)
+        app.setup(machine.space, machine.streams)
+        machine.processors = [Processor(machine, pid) for pid in range(4)]
+        for pid, processor in enumerate(machine.processors):
+            machine.sim.spawn(processor.run(app.proc_main(pid)))
+        return machine
+
+    clean = build()
+    clean.sim.run()
+    assert clean.checkers.finalize(clean).ok
+    machine = build()
+    assert machine.sim.kernel == kernel
+    start = clean.sim.now + 1 if late else clean.sim.now // 2
+
+    def saboteur():
+        yield start
+        yield from sabotage(machine)
+
+    machine.sim.spawn(saboteur(), name="saboteur")
+    return machine
+
+
+def _phantom_sharer(machine):
+    memory = machine.memory
+    block = next(iter(memory.caches[0]._by_block))
+    outsider = next(pid for pid in range(1, 4)
+                    if not memory.caches[pid].contains(block))
+    memory.directory.entry(block).sharers.add(outsider)
+    yield 0
+
+
+def _second_dirty_copy(machine):
+    memory = machine.memory
+    block, owner = next(
+        (block, pid)
+        for pid, cache in enumerate(memory.caches)
+        for block, line in cache._by_block.items()
+        if line.state is LineState.DIRTY
+    )
+    memory.caches[(owner + 1) % 4].install(block, LineState.DIRTY)
+    yield 0
+
+
+@pytest.mark.parametrize("sabotage", (_phantom_sharer, _second_dirty_copy))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_coherence_checker_fires_on_every_kernel(kernel, sabotage):
+    # strict: the global sweep runs at the next transition, which the
+    # flat programs and the C loop reach through their plan_* callouts
+    # -- mid-run, long before finalize's end-of-run sweep.
+    machine = _sabotaged(kernel, sabotage, check="strict")
+    with pytest.raises(InvariantError, match="coherence"):
+        machine.sim.run()
+
+
+def _undelivered_record(machine):
+    machine.sim._stream.message(machine.sim.now, 0, 1, 32, False)
+    yield 0
+
+
+def _leaked_link(machine):
+    yield machine.fabric.links[0]  # granted, never released
+
+
+@pytest.mark.parametrize("sabotage,late,detail", (
+    (_undelivered_record, False, "fault-free"),
+    (_leaked_link, True, "leaked at end of run"),
+))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_conservation_checker_fires_on_every_kernel(kernel, sabotage, late,
+                                                    detail):
+    machine = _sabotaged(kernel, sabotage, late=late, check="basic")
+    machine.sim.run()
+    with pytest.raises(InvariantError, match=detail):
+        machine.checkers.finalize(machine)
+
+
+def _regressed_time(machine):
+    now = machine.sim.now
+    machine.sim._stream.feed_times(array("q", [now, now - 1]).tobytes())
+    yield 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_monotonicity_checker_fires_on_every_kernel(kernel):
+    machine = _sabotaged(kernel, _regressed_time, check="basic")
+    with pytest.raises(InvariantError, match="monotonicity"):
+        machine.sim.run()
+
+
+def _unmatched_delivery(machine):
+    for checker in machine.reliable._arq_checkers:
+        checker.on_app_delivery(machine.sim.now, 0, 1, duplicate=False)
+    yield 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_exactly_once_checker_fires_on_every_kernel(kernel):
+    machine = _sabotaged(kernel, _unmatched_delivery, check="basic",
+                         fault=DROPS)
+    with pytest.raises(InvariantError, match="exactly-once"):
+        machine.sim.run()
+        machine.checkers.finalize(machine)
+
+
 def test_determinism_checker_distinguishes_executions():
     # IS draws its keys from the seeded RNG, so a different seed changes
     # the access pattern (FFT would not: its pattern is data-oblivious).
@@ -238,18 +367,15 @@ def test_determinism_checker_distinguishes_executions():
 
 @pytest.mark.parametrize("machine", ALL_MACHINES)
 def test_check_levels_do_not_perturb_results(machine):
-    """Checkers are passive: every level (and off) must time identically."""
+    """Checkers are passive: every level (and off) must time
+    identically -- and execute identically: the ``engine`` metadata
+    (kernel, queue split, flat programs) is part of the comparison."""
     outcomes = {}
     for check in ("off", "basic", "strict"):
         result = _checked_run(machine, check=check)
         data = result.to_dict()
         data.pop("wall_seconds")
         data.pop("check_report")
-        # Engine metadata records *how* the run executed, and check
-        # levels legitimately change that (hooked levels force the
-        # object kernel's heap-only instrumented loop): only the
-        # kernel-dispatch split moves, never what was simulated.
-        data.pop("engine")
         outcomes[check] = data
     assert outcomes["off"] == outcomes["basic"] == outcomes["strict"]
 
@@ -268,9 +394,8 @@ def test_check_off_attaches_no_hooks():
     config = tiny_config(4, check="off")
     _result, machine = simulate_full(tiny_app("ep", 4), "target", config)
     assert machine.checkers is None
-    assert machine.sim._event_hooks == ()
-    assert machine.sim._schedule_hooks == ()
-    assert machine.fabric._message_hooks == ()
+    assert machine.sim._stream is None
+    assert machine.fabric._record_message is None
     assert machine.memory._transition_hooks == ()
 
 
@@ -295,15 +420,14 @@ def test_run_result_round_trips_check_report():
 
 
 def test_checker_set_precomputes_hook_tuples():
-    checkers = CheckerSet(
-        "basic", [MonotonicityChecker(), ConservationChecker(),
-                  CoherenceChecker(), ExactlyOnceChecker(),
-                  DeterminismChecker()]
-    )
-    assert len(checkers.event_hooks) == 1       # monotonicity
-    assert len(checkers.schedule_hooks) == 1    # monotonicity
-    assert len(checkers.message_hooks) == 1     # conservation
+    members = [MonotonicityChecker(), ConservationChecker(),
+               CoherenceChecker(), ExactlyOnceChecker(),
+               DeterminismChecker()]
+    checkers = CheckerSet("basic", members)
     assert len(checkers.transition_hooks) == 1  # coherence
     assert len(checkers.arq_checkers) == 1      # exactly-once
-    # The digest is fed directly, not through a hook.
-    assert isinstance(checkers.determinism, DeterminismChecker)
+    # The other three consume the simulator's record stream.
+    stream = Simulator(checkers=checkers)._stream
+    assert len(stream._time_sinks) == 2     # monotonicity, determinism
+    assert len(stream._message_sinks) == 2  # conservation, determinism
+    assert RecordStream.of(members[2:4]) is None

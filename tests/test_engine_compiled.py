@@ -486,20 +486,6 @@ def test_selection_precedence_matrix(monkeypatch, quick_spec):
     assert result.engine["kernel"] == "compiled"
 
 
-@needs_extension
-def test_hooked_checkers_still_force_object_kernel(monkeypatch):
-    from repro.checkers.base import Checker
-
-    class Hooked(Checker):
-        name = "hooked"
-
-        def on_event(self, at, seq, action):
-            pass
-
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    assert type(make_simulator(checkers=(Hooked(),))) is Simulator
-
-
 # -- compiled tier: import-time fallback (subprocess) -------------------------
 #
 # HAVE_EXTENSION is decided when repro.engine.compiled first imports,

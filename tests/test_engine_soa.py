@@ -11,11 +11,13 @@ its preallocation, free-list recycling, and the packed-word ring.
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.core.accounting import RunResult
 from repro.core.runner import simulate_spec
-from repro.engine import make_simulator, resolve_kernel
+from repro.engine import KERNELS, make_simulator, resolve_kernel
 from repro.engine.compiled import HAVE_EXTENSION, CompiledSimulator
 from repro.engine.core import TURN, Simulator
 from repro.engine.resource import Resource
@@ -69,10 +71,7 @@ def test_soa_matches_object_kernel_on_mixed_scenario():
 def test_soa_matches_object_kernel_on_simulation(quick_spec):
     results = {}
     for kernel in ("object", "soa"):
-        # check="off": hook-installing sanitizer levels (e.g. a
-        # REPRO_CHECK=strict suite run) would force the object kernel
-        # for both sides, making the parity assertion vacuous.
-        spec = quick_spec(engine_kernel=kernel, check="off")
+        spec = quick_spec(engine_kernel=kernel)
         results[kernel] = simulate_spec(spec)
     obj, soa = results["object"], results["soa"]
     assert (soa.total_ns, soa.messages, soa.sim_events, soa.buckets) == (
@@ -252,19 +251,21 @@ def test_digest_runs_on_the_selected_kernel(monkeypatch, quick_spec):
     assert len(digests) == 1 and None not in digests
 
 
-def test_soa_refuses_engine_hooks():
-    from repro.checkers.base import Checker
-
-    class Hooked(Checker):
-        name = "hooked"
-
-        def on_event(self, at, seq, action):
-            pass
-
-    with pytest.raises(SimulationError):
-        SoaSimulator(checkers=(Hooked(),))
-    # The factory routes the same request to the object kernel instead.
-    assert type(make_simulator(checkers=(Hooked(),))) is Simulator
+@pytest.mark.parametrize("knob", KERNELS)
+def test_strict_runs_on_the_selected_kernel(monkeypatch, quick_spec, knob):
+    """The sanitizer observes what every kernel reports, so the knob
+    alone selects the kernel: a ``check="strict"`` run executes exactly
+    what the unchecked run does, target misses as flat programs."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # compiled, unbuilt
+        kernel = resolve_kernel(knob)
+        plain = simulate_spec(quick_spec(engine_kernel=knob, check="off"))
+        strict = simulate_spec(quick_spec(engine_kernel=knob, check="strict"))
+    assert strict.check_report.ok
+    assert strict.engine["kernel"] == kernel
+    assert strict.engine == plain.engine
+    assert (strict.engine["flat_tx"] > 0) == (kernel != "object")
 
 
 # -- profile and result metadata ----------------------------------------------
@@ -280,7 +281,6 @@ def test_engine_profile_keys():
                 "row_capacity", "rows_live"):
         assert key in profile, key
     assert profile["kernel"] == "soa"
-    assert profile["instrumented"] == 0
 
 
 def test_run_result_engine_roundtrip(quick_spec):

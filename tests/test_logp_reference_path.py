@@ -5,21 +5,19 @@ arithmetic; :class:`~repro.core.logp_net.Trip` objects are built only by
 the public ``one_way``/``round_trip`` wrappers.  Two things are pinned:
 
 * the public decomposition (``total/latency/stall/service/messages/
-  retry``), the message-hook calls and the network counters of a fixed
+  retry``), the message records and the network counters of a fixed
   script, across ``per_event_type`` x ``adaptive`` x fault injection,
   against values recorded in ``tests/goldens/logp_trips.json`` (from the
   commit before the int rewrite; regenerate only for an intentional
   timing change with ``--update-goldens``);
 * a LogP and a CLogP run complete with ``Trip.__init__`` patched to
-  raise, and the sanitizer's message hooks see exactly ``net.messages``
-  calls.
+  raise, and the record stream's conservation consumer sees exactly
+  ``net.messages`` records.
 """
 
 import dataclasses
 import json
 from pathlib import Path
-from types import SimpleNamespace
-
 import pytest
 
 from repro import FaultConfig, LinkFailure, NodeStall, simulate
@@ -82,15 +80,29 @@ def _case_key(per_event_type, adaptive, faulty):
     )
 
 
+class _MessageLog:
+    """Record-stream consumer keeping every message record in the
+    table's six-column form.  The stream carries no message ``kind``;
+    the column is derived: under ARQ every intact message is followed
+    by its ack, and nothing else is one."""
+
+    def __init__(self, faulty):
+        self.faulty = faulty
+        self.calls = []
+
+    def message(self, now, src, dst, nbytes, delivered):
+        acked = self.calls[-1] if self.faulty and self.calls else None
+        is_ack = acked is not None and acked[3] == "logp" and acked[5]
+        self.calls.append(
+            [now, src, dst, "ack" if is_ack else "logp", nbytes, delivered]
+        )
+
+
 def _run_script(per_event_type, adaptive, faulty):
-    sim = Simulator()
+    log = _MessageLog(faulty)
+    sim = Simulator(checkers=(log,))
     topology = make_topology("mesh", NPROCS)
     params = LogPParams(L_ns=1_600, g_ns=1_300, o_ns=40, P=NPROCS)
-    hook_calls = []
-    checkers = SimpleNamespace(
-        message_hooks=(lambda *call: hook_calls.append(list(call)),),
-        arq_checkers=(),
-    )
     injector = policy = None
     if faulty:
         injector = FaultInjector(FAULT, RandomStreams(1), topology=topology)
@@ -98,7 +110,6 @@ def _run_script(per_event_type, adaptive, faulty):
     net = LogPNetwork(
         sim, params, per_event_type=per_event_type, topology=topology,
         adaptive=adaptive, injector=injector, retry_policy=policy,
-        checkers=checkers,
     )
     trips = []
 
@@ -117,7 +128,7 @@ def _run_script(per_event_type, adaptive, faulty):
     sim.run()
     return {
         "trips": trips,
-        "hook_calls": hook_calls,
+        "hook_calls": log.calls,
         "messages": net.messages,
         "total_stall_ns": net.total_stall_ns,
         "total_retry_ns": net.total_retry_ns,
@@ -138,7 +149,7 @@ def test_trip_parity_with_recorded_table(per_event_type, adaptive, faulty,
     expected = goldens[_case_key(per_event_type, adaptive, faulty)]
     actual = _run_script(per_event_type, adaptive, faulty)
     assert actual == expected
-    # The hooks are the sanitizer's view of the traffic: one call per
+    # The records are the sanitizer's view of the traffic: one per
     # injected message, acks and lost attempts included.
     assert len(actual["hook_calls"]) == actual["messages"]
 
@@ -214,21 +225,23 @@ def test_explicit_messages_build_no_trip(monkeypatch):
 
 @pytest.mark.parametrize("machine_name", ["logp", "clogp"])
 def test_message_hooks_see_every_message(machine_name):
+    """The stream's conservation consumer sees every message and ack."""
     machine = make_machine(
         machine_name, tiny_config(4, "mesh", check="strict",
                                   fault=FaultConfig(drop_rate=0.02, seed=5)),
     )
     net = machine.net
-    calls = []
-    net._message_hooks += (lambda *call: calls.append(call),)
     app = tiny_app("is", 4)
     app.setup(machine.space, machine.streams)
     for pid in range(4):
         machine.sim.spawn(Processor(machine, pid).run(app.proc_main(pid)))
     machine.sim.run()
     assert app.verify()
+    conservation = next(c for c in machine.checkers if c.name == "conservation")
     assert net.messages > 0
-    assert len(calls) == net.messages
+    assert conservation.sends == net.messages
+    assert conservation.undelivered > 0  # drops, and only drops, are lost
+    assert conservation.undelivered <= machine.fault_injector.dropped
 
 
 def test_logp_machine_home_memo_follows_allocations():

@@ -142,33 +142,51 @@ def test_foreign_schema_entry_is_a_plain_miss(tmp_path):
 
 
 def test_schema_2_digest_entry_is_resimulated(tmp_path, counted_simulate):
-    """Schema 3 redefined ``check_report.digest``: a warm store holding
-    a valid schema-2 entry (old-definition digest) must not answer a
-    ``digest=True`` spec -- it is a plain miss, then overwritten."""
+    """A schema bump that changes what a stored result *means* must turn
+    warm entries into plain misses, then overwrite them.  Schema 3
+    redefined ``check_report.digest`` (a schema-2 entry holds the
+    old-definition digest); schema 4 moved checked runs onto the
+    selected kernel (a schema-3 ``check != off`` entry reports the
+    object kernel and a monotonicity count of events + schedules)."""
     from repro.core.runner import simulate_spec
     from repro.exec.store import entry_checksum
 
-    spec = quick_spec(digest=True)
-    current = simulate_spec(spec).check_report.digest
-    ResultStore(tmp_path).put(spec, simulate_spec(spec))
-    digest = spec.spec_digest()
-    entry = tmp_path / digest[:2] / f"{digest}.json"
-    payload = json.loads(entry.read_text())
-    payload["schema"] = 2
-    payload["result"]["check_report"]["digest"] = "0" * 32
-    payload["checksum"] = entry_checksum(payload)  # valid, as schema 2 wrote it
-    entry.write_text(json.dumps(payload))
+    def as_schema_2(result):
+        result["check_report"]["digest"] = "0" * 32
 
-    counted_simulate["count"] = 0
-    with SweepRunner(preset="quick", cache_dir=tmp_path) as runner:
-        runner.run_batch([spec])
-        outcome = runner.outcome_of(spec)
-        assert runner.store.misses == 1 and runner.store.quarantined == 0
-    assert counted_simulate["count"] == 1
-    assert outcome.check_report.digest == current
-    rewritten = json.loads(entry.read_text())
-    assert rewritten["schema"] == STORE_SCHEMA == 3
-    assert rewritten["result"]["check_report"]["digest"] == current
+    def as_schema_3(result):
+        result["engine"]["kernel"] = "object"
+        monotonicity = next(entry for entry in result["check_report"]["results"]
+                            if entry["name"] == "monotonicity")
+        monotonicity["checks"] *= 2
+
+    for schema, spec, age in ((2, quick_spec(digest=True), as_schema_2),
+                              (3, quick_spec(check="basic"), as_schema_3)):
+        root = tmp_path / f"schema-{schema}"
+        current = simulate_spec(spec).to_dict()
+        current.pop("wall_seconds")
+        ResultStore(root).put(spec, simulate_spec(spec))
+        digest = spec.spec_digest()
+        entry = root / digest[:2] / f"{digest}.json"
+        payload = json.loads(entry.read_text())
+        payload["schema"] = schema
+        age(payload["result"])
+        payload["checksum"] = entry_checksum(payload)  # valid, as written then
+        entry.write_text(json.dumps(payload))
+
+        counted_simulate["count"] = 0
+        with SweepRunner(preset="quick", cache_dir=root) as runner:
+            runner.run_batch([spec])
+            outcome = runner.outcome_of(spec)
+            assert runner.store.misses == 1 and runner.store.quarantined == 0
+        assert counted_simulate["count"] == 1
+        fresh = outcome.to_dict()
+        fresh.pop("wall_seconds")
+        assert fresh == current
+        rewritten = json.loads(entry.read_text())
+        assert rewritten["schema"] == STORE_SCHEMA == 4
+        rewritten["result"].pop("wall_seconds")
+        assert rewritten["result"] == current
 
 
 # -- integrity audit: checksums, verify, repair -------------------------------------
