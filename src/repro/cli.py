@@ -514,15 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--g-per-event-type", action="store_true",
                        help="apply g only between identical event types")
     p_run.add_argument("--engine", choices=ENGINE_KERNELS, default=None,
-                       help="event-kernel selection: soa (fast "
-                            "struct-of-arrays core), object (the "
-                            "reference kernel), or auto (default: "
-                            "REPRO_ENGINE, else soa)")
+                       help="event-kernel selection: compiled (the "
+                            "struct-of-arrays core driven by the C "
+                            "extension), soa (the same core in pure "
+                            "Python), object (the reference kernel), or "
+                            "auto (default: REPRO_ENGINE, else compiled "
+                            "when the extension is built, else soa)")
     p_run.add_argument("--profile-engine", action="store_true",
                        help="print the engine's internal activity "
                             "counters (active kernel, event counts by "
-                            "source, pooling stats, events/sec) after "
-                            "the run")
+                            "source, events/sec) after the run")
     p_run.add_argument("--no-batch-local", action="store_true",
                        help="release accumulated local time (compute "
                             "quanta, cache hits) after every operation "

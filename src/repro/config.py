@@ -164,9 +164,10 @@ class SystemConfig:
     #: Engine kernel for the event core: ``"compiled"`` (the SoA
     #: kernel driven by the optional C hot loop), ``"soa"`` (the
     #: pure-Python struct-of-arrays fast path), ``"object"`` (the
-    #: original object engine, also the path ``check="basic"|"strict"``
-    #: runs always take) or ``"auto"`` (consult ``REPRO_ENGINE``, else compiled
-    #: when the extension is built, else SoA).  All kernels execute
+    #: heap-only reference kernel, taken only when asked for) or
+    #: ``"auto"`` (consult ``REPRO_ENGINE``, else compiled when the
+    #: extension is built, else SoA).  Every ``check`` level and the
+    #: digest run on whichever kernel this selects.  All kernels execute
     #: identical event sequences; the knob only changes host speed.
     #: Defaults to the ``REPRO_ENGINE`` environment variable, or
     #: ``"auto"``.
@@ -303,10 +304,8 @@ class SystemConfig:
         serialized automatically, so it can change a digest but never
         alias two different configurations under one key.
         """
-        out: Dict = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            out[spec.name] = value.to_dict() if spec.name == "fault" else value
+        out: Dict = {name: getattr(self, name) for name in CONFIG_FIELDS}
+        out["fault"] = self.fault.to_dict()
         return out
 
     @classmethod
@@ -318,7 +317,7 @@ class SystemConfig:
         entry written by a different schema version is rejected instead
         of silently resuming with default-filled fields.
         """
-        names = {spec.name for spec in fields(cls)}
+        names = set(CONFIG_FIELDS)
         unknown = set(data) - names
         missing = names - set(data)
         if unknown or missing:
@@ -331,6 +330,11 @@ class SystemConfig:
         kwargs["fault"] = FaultConfig.from_dict(kwargs["fault"])
         return cls(**kwargs)
 
+
+#: Every :class:`SystemConfig` field name in declaration order, computed
+#: once from the dataclass: ``to_dict`` / ``from_dict`` iterate it, so a
+#: new field is still serialized (and digested) automatically.
+CONFIG_FIELDS: Tuple[str, ...] = tuple(spec.name for spec in fields(SystemConfig))
 
 #: A ready-made configuration matching the paper's hardware with 8 nodes.
 PAPER_CONFIG = SystemConfig()

@@ -174,6 +174,8 @@ class SweepRunner:
         self._failures: Dict[str, PointFailure] = {}
         #: Spec behind every memoized digest (checkpoint journaling).
         self._specs: Dict[str, RunSpec] = {}
+        #: The one spec of every distinct sweep point (see point_spec).
+        self._points: Dict[Tuple, RunSpec] = {}
         if self.checkpoint_path is not None and self.checkpoint_path.exists():
             self._load_checkpoint()
 
@@ -283,23 +285,36 @@ class SweepRunner:
         protocol: str = "berkeley",
         barrier: str = "central",
     ) -> RunSpec:
-        """The canonical spec of one sweep point."""
-        return RunSpec.build(
-            app=app,
-            machine=machine,
-            nprocs=nprocs,
-            topology=topology,
-            preset=self.preset,
-            seed=self.seed,
-            fault=self.fault,
-            check=self.check,
-            digest=self.digest,
-            protocol=protocol,
-            barrier=barrier,
-            adaptive_g=adaptive_g,
-            g_per_event_type=g_per_event_type,
-            max_events=self.max_events,
-        )
+        """The canonical spec of one sweep point, built once per runner.
+
+        Figures share points and every point is asked for by the
+        prefetch, the per-figure prefetch and the series, so each
+        distinct point gets one spec object (which caches its digest).
+        The sweep-level fields (preset, seed, fault, check, digest,
+        max_events) are fixed at construction, so the point arguments
+        alone identify the spec.
+        """
+        key = (app, machine, topology, nprocs, g_per_event_type,
+               adaptive_g, protocol, barrier)
+        spec = self._points.get(key)
+        if spec is None:
+            spec = self._points[key] = RunSpec.build(
+                app=app,
+                machine=machine,
+                nprocs=nprocs,
+                topology=topology,
+                preset=self.preset,
+                seed=self.seed,
+                fault=self.fault,
+                check=self.check,
+                digest=self.digest,
+                protocol=protocol,
+                barrier=barrier,
+                adaptive_g=adaptive_g,
+                g_per_event_type=g_per_event_type,
+                max_events=self.max_events,
+            )
+        return spec
 
     def outcome_of(self, spec: RunSpec) -> Optional[PointOutcome]:
         """The memoized outcome of a spec, if it already ran."""

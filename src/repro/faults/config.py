@@ -154,12 +154,9 @@ class FaultConfig:
         lockstep with the schema: a newly added field is serialized
         (and therefore digested) automatically.
         """
-        out: Dict = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name in ("link_failures", "node_stalls"):
-                value = [vars(window).copy() for window in value]
-            out[spec.name] = value
+        out: Dict = {name: getattr(self, name) for name in FAULT_FIELDS}
+        for name in ("link_failures", "node_stalls"):
+            out[name] = [vars(window).copy() for window in out[name]]
         return out
 
     @classmethod
@@ -170,7 +167,7 @@ class FaultConfig:
         so a payload written by a different schema version is detected
         instead of silently filling defaults.
         """
-        names = {spec.name for spec in fields(cls)}
+        names = set(FAULT_FIELDS)
         unknown = set(data) - names
         missing = names - set(data)
         if unknown or missing:
@@ -204,3 +201,9 @@ class FaultConfig:
             or self.link_failures
             or self.node_stalls
         )
+
+
+#: Every :class:`FaultConfig` field name in declaration order, computed
+#: once from the dataclass: ``to_dict`` / ``from_dict`` iterate it, so a
+#: new field is still serialized (and digested) automatically.
+FAULT_FIELDS: Tuple[str, ...] = tuple(spec.name for spec in fields(FaultConfig))

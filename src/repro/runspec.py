@@ -130,7 +130,8 @@ class RunSpec:
         ``check=None`` leaves the sanitizer level to the configuration
         default (the ``REPRO_CHECK`` environment variable, or off);
         ``engine_kernel=None`` likewise defers to the configuration
-        default (``REPRO_ENGINE``, or auto -- the SoA kernel).
+        default (``REPRO_ENGINE``, or auto -- the compiled kernel when
+        the extension is built, else the SoA kernel).
         """
         if params is None:
             # Imported lazily: the experiments package sits above this

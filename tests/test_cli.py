@@ -194,6 +194,73 @@ def test_figure_with_cache_dir_warm_run_skips_simulation(
     assert capsys.readouterr().out == cold_out
 
 
+@pytest.fixture
+def sweep_work(monkeypatch):
+    """Count spec builds and store reads; refuse to simulate once armed."""
+    import repro.exec.backend as backend_module
+    from repro.exec.store import ResultStore
+    from repro.runspec import RunSpec
+
+    counts = {"build": 0, "get": 0}
+    real_build = RunSpec.build.__func__
+    real_get = ResultStore.get
+
+    def counting_build(cls, *args, **kwargs):
+        counts["build"] += 1
+        return real_build(cls, *args, **kwargs)
+
+    def counting_get(self, spec):
+        counts["get"] += 1
+        return real_get(self, spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("warm cache run must not simulate")
+
+    def arm(forbid_simulation: bool = False) -> dict:
+        counts.update(build=0, get=0)
+        monkeypatch.setattr(RunSpec, "build", classmethod(counting_build))
+        monkeypatch.setattr(ResultStore, "get", counting_get)
+        if forbid_simulation:
+            monkeypatch.setattr(backend_module, "simulate", refuse)
+        return counts
+
+    return arm
+
+
+def test_warm_sweep_resolves_each_point_once(capsys, tmp_path, sweep_work):
+    # Figures share points (Figs. 17 and 19 are two metrics of the same
+    # runs), and every point is asked for by the global prefetch, the
+    # per-figure prefetch and the series: one spec build and one store
+    # read per *distinct* point, however many figures refer to it.
+    from repro.exec.store import ResultStore
+    from repro.experiments import experiment_ids
+
+    # The work counted does not depend on the sanitizer level; pin it so
+    # a REPRO_CHECK=strict session does not pay for 108 strict runs.
+    cache = tmp_path / "cache"
+    argv = ["figure", *experiment_ids(), "--preset", "quick",
+            "--check", "off", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    cold_out = capsys.readouterr().out
+    points = len(ResultStore(cache).entry_paths())
+
+    counts = sweep_work(forbid_simulation=True)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold_out
+    assert counts == {"build": points, "get": points}
+    assert len(ResultStore(cache).entry_paths()) == points
+
+
+def test_scalability_builds_each_point_once(capsys, sweep_work):
+    counts = sweep_work()
+    assert main([
+        "scalability", "--app", "fft", "--machine", "clogp",
+        "--sweep", "1,2,4", "--preset", "quick",
+    ]) == 0
+    capsys.readouterr()
+    assert counts["build"] == 3
+
+
 def test_cache_dir_env_var_enables_cache(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "env-cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))

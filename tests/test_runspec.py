@@ -8,11 +8,15 @@ different runs could alias under one memo key.  The digest hashes the
 participates by construction.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro import FaultConfig, RunSpec, SystemConfig
+from repro.config import CONFIG_FIELDS
 from repro.errors import ConfigError
 from repro.faults import LinkFailure, NodeStall
+from repro.faults.config import FAULT_FIELDS
 
 
 def spec(**overrides) -> RunSpec:
@@ -42,6 +46,65 @@ def test_digest_survives_serialization_round_trip():
     rebuilt = RunSpec.from_dict(original.to_dict())
     assert rebuilt == original
     assert rebuilt.spec_digest() == original.spec_digest()
+
+
+# -- the digest definition is pinned ------------------------------------------------
+#
+# Literal digests: a change to the canonical serialization (field order
+# aside -- the JSON is key-sorted) would silently turn every user's
+# result store and checkpoint into misses, so it must show up here.
+
+
+PINNED_DIGESTS = {
+    "defaults": "b0b428d69fae99b4586714f551856739",
+    "target": "5913df31f6628efd58ca8089de4d8ee6",
+    "logp": "4d94264b16a0f82113f8b2dcf1d8072d",
+    "clogp": "1b744735be51958d91003e38c416c6b1",
+    "ideal": "2e14445f6db80aead9d80c4bb3716876",
+    "model-knobs": "80999f60085112b44aefbc8611630441",
+    "fault-windows": "a192141bd4d16114e8fdd8b251763ccd",
+    "strict-digest": "fda8f46087542a197f99c77ac0aae558",
+}
+
+
+def pinned_spec(name: str) -> RunSpec:
+    if name == "defaults":
+        return RunSpec.build("fft", "target", 8)
+    if name in ("target", "logp", "clogp", "ideal"):
+        return spec(machine=name)
+    if name == "model-knobs":
+        return spec(app="cg", topology="mesh", nprocs=16,
+                    protocol="illinois", barrier="tree",
+                    adaptive_g=True, g_per_event_type=True)
+    if name == "fault-windows":
+        return spec(machine="target", topology="cube", fault=FaultConfig(
+            drop_rate=0.01, seed=7,
+            link_failures=(LinkFailure(0, 1, 10, 20),),
+            node_stalls=(NodeStall(2, 5, 9),),
+        ))
+    assert name == "strict-digest"
+    return spec(check="strict", digest=True, max_events=1_000_000)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_digest_definition_is_pinned(name, monkeypatch):
+    # The ambient sanitizer level and kernel knob are configuration
+    # fields; clear them so the defaults are the documented ones.
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    assert pinned_spec(name).spec_digest() == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("cls, names", [
+    (SystemConfig, CONFIG_FIELDS),
+    (FaultConfig, FAULT_FIELDS),
+])
+def test_serialized_field_names_track_the_dataclass(cls, names):
+    # to_dict/from_dict iterate a tuple read off the dataclass once; it
+    # must still name every field, so a new one is serialized and
+    # digested.
+    assert list(names) == [f.name for f in fields(cls)]
+    assert list(cls().to_dict()) == list(names)
 
 
 # -- every knob participates (the RunKey aliasing hazard) ---------------------------
