@@ -279,27 +279,19 @@ def make_backend(
     jobs: int = 1,
     policy: Optional[RetryPolicy] = None,
     deadline_s: Optional[float] = None,
-    supervise: bool = True,
 ) -> ExecutionBackend:
     """Backend for the requested parallelism (``jobs <= 1``: serial).
 
-    Parallel backends are *supervised* by default: worker death and
-    expired deadlines are recovered by pool rebuilds instead of
-    aborting the sweep (see :mod:`repro.exec.supervisor`).  Pass
-    ``supervise=False`` for the bare pool, which propagates
-    ``BrokenProcessPool`` -- useful as the reference in tests.
+    Parallel backends are *supervised*: worker death and expired
+    deadlines are recovered by pool rebuilds instead of aborting the
+    sweep (see :mod:`repro.exec.supervisor`).
     """
     if jobs <= 1:
         return SerialBackend(policy=policy, deadline_s=deadline_s)
-    if supervise:
-        # Imported lazily: the supervisor builds on this module.
-        from .supervisor import SupervisedPoolBackend
+    # Imported lazily: the supervisor builds on this module.
+    from .supervisor import SupervisedPoolBackend
 
-        return SupervisedPoolBackend(jobs, policy=policy, deadline_s=deadline_s)
-    backend = ProcessPoolBackend(jobs)
-    backend.policy = policy
-    backend.deadline_s = deadline_s
-    return backend
+    return SupervisedPoolBackend(jobs, policy=policy, deadline_s=deadline_s)
 
 
 def drain(

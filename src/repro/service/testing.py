@@ -1,4 +1,4 @@
-"""In-process serving harness for tests and the chaos benchmark.
+"""In-process serving harness for tests.
 
 :func:`serve_in_thread` runs a full daemon -- real sockets, real HTTP
 framing, real supervised pool -- on an event loop in a background
@@ -13,8 +13,9 @@ thread, and hands back a :class:`ServiceHandle` exposing:
 
 Signal handlers cannot be installed off the main thread, so the
 harness drives drain directly -- the daemon's ``_on_signal`` is a
-thin wrapper over exactly this path (and the subprocess smoke test in
-``benchmarks/service_smoke.py`` covers the real-signal route).
+thin wrapper over exactly this path (the ``serve-mixed`` workload of
+``bench/serve.py`` covers the real-signal route: it SIGTERMs a daemon
+subprocess and requires a drain with exit code 0).
 """
 
 from __future__ import annotations

@@ -132,6 +132,22 @@ def test_logp_is_more_expensive_to_simulate_than_clogp():
     assert logp > clogp
 
 
+def test_logp_moves_far_more_network_messages_than_target():
+    """The mechanism behind the paper's LogP slowdown: every would-be
+    cache hit becomes a simulated network message.
+
+    Asserted at a mid-sized CHOLESKY: at the tiny test size there is too
+    little reuse for the gap to open (LogP/target is ~1.9x at p=8).
+    """
+    config = SystemConfig(processors=16, topology="full")
+
+    def messages(machine):
+        app = make_app("cholesky", 16, n=128, density=0.10)
+        return simulate(app, machine, config).messages
+
+    assert messages("logp") > 2.0 * messages("target")
+
+
 # -- Section 7: the g-gap relaxation -----------------------------------------------------------
 
 

@@ -9,9 +9,12 @@ the checkpoint on disk, exactly like an interactive interrupt.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -109,3 +112,72 @@ def test_sigterm_mid_sweep_exits_130_with_checkpoint_flushed(
     payload = json.loads(checkpoint.read_text())
     assert payload["results"]
     assert payload["failures"] == {}
+
+
+# -- the daemon under worker death ------------------------------------------------------
+
+
+def _children(pid):
+    """Direct children of ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:  # noqa: PERF203 -- process raced away
+            continue
+        # Field 4 (ppid) follows the parenthesised command name.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_serve_survives_a_sigkilled_worker_and_still_drains(tmp_path):
+    """A dead pool worker must not shut the daemon down.
+
+    When a worker dies, the executor SIGTERMs its siblings; without
+    ``exec/backend.py:_reset_worker_signals`` they inherited the
+    daemon's signal wakeup fd and wrote SIGTERM into it, so the daemon
+    drained itself.  Here it must answer the next cold request and
+    still drain with exit 0 on a real SIGTERM.
+    """
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--jobs", "2", "--cache-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env, start_new_session=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert "listening on" in line, line
+        host, port = line.split("listening on ", 1)[1].split()[0].rsplit(":", 1)
+
+        def run(nprocs):
+            conn = http.client.HTTPConnection(host, int(port), timeout=60)
+            try:
+                conn.request("POST", "/run", body=json.dumps({"build": {
+                    "app": "fft", "machine": "clogp", "nprocs": nprocs,
+                    "preset": "quick",
+                }}))
+                return conn.getresponse().status
+            finally:
+                conn.close()
+
+        assert run(2) == 200
+        workers = _children(proc.pid)
+        assert workers, "the pool spawned no worker"
+        os.kill(workers[0], signal.SIGKILL)
+        assert run(4) == 200
+        assert proc.poll() is None, "the daemon exited after a worker died"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        proc.stdout.close()

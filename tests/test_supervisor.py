@@ -76,8 +76,6 @@ def test_make_backend_supervises_parallel_by_default():
     backend = make_backend(2)
     assert isinstance(backend, SupervisedPoolBackend)
     assert isinstance(backend, ProcessPoolBackend)  # drop-in for the bare pool
-    bare = make_backend(2, supervise=False)
-    assert type(bare) is ProcessPoolBackend
 
 
 # -- worker death --------------------------------------------------------------------
